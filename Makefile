@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet fmtcheck test test-race build fmt bench-smoke trace-overhead slo-smoke loadtest-baseline bench-index bench-index-record fuzz-smoke replica-smoke fleet-obs-smoke federation-smoke
+.PHONY: check lint vet fmtcheck test test-race build fmt bench-smoke trace-overhead slo-smoke loadtest-baseline bench-index bench-index-record fuzz-smoke replica-smoke fleet-obs-smoke federation-smoke perf-publish
 
 check: lint test-race bench-smoke trace-overhead bench-index slo-smoke replica-smoke fleet-obs-smoke federation-smoke
 
@@ -104,3 +104,20 @@ federation-smoke:
 # without -race — the gate skips itself under the race detector.
 trace-overhead:
 	$(GO) test -run=TestTraceOverheadBudget -count=1 -v .
+
+# Where a publish's milliseconds go: one traced 5-second run of the
+# repository benchmark's publish workload (edit, leader rebuild, snapshot
+# encode, decode, replica adopt), printed as a per-layer table. The
+# layers after publish_ms add up to it. A tool for performance work, not
+# part of check: timings stay out of the gates.
+PERF_PUBLISH_ROWS = publish_ms load_ms site_build_ms index_build_ms swap_ms \
+	snapshot_encode_ms snapshot_decode_ms adopt_ms snapshot_bytes \
+	site_jobs_rendered site_jobs_cached publishes
+
+perf-publish:
+	@out=$$(bash perfbench/run.sh --workload publish --seed 1 --seconds 5 --trace 1) || exit 1; \
+	echo "$$out" | tail -n 1 | grep -o '"[a-z_]*":{"value":[^,]*,"unit":"[a-z]*"' | \
+	sed 's/"\([a-z_]*\)":{"value":\([^,]*\),"unit":"\([a-z]*\)"/\1 \2 \3/' | \
+	awk -v rows="$(PERF_PUBLISH_ROWS)" '{ v[$$1] = $$2; u[$$1] = $$3 } \
+		END { n = split(rows, r, " "); for (i = 1; i <= n; i++) \
+			printf (u[r[i]] == "ms" ? "%-20s %12.3f %s\n" : "%-20s %12d %s\n"), r[i], v[r[i]], u[r[i]] }'

@@ -1,0 +1,91 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"testing"
+
+	"pdcunplugged/internal/core"
+	"pdcunplugged/internal/corpus"
+	"pdcunplugged/internal/curation"
+)
+
+// rehash recomputes an aggregate fingerprint the way the repository
+// defines it, straight from each activity's own Fingerprint method.
+func rehash(t *testing.T, repo *core.Repository, prefix []string, slugs []string) string {
+	t.Helper()
+	h := sha256.New()
+	for _, p := range prefix {
+		io.WriteString(h, p)
+		h.Write([]byte{0})
+	}
+	for _, slug := range slugs {
+		a, ok := repo.Get(slug)
+		if !ok {
+			t.Fatalf("slug %q missing", slug)
+		}
+		io.WriteString(h, slug)
+		h.Write([]byte{0})
+		io.WriteString(h, a.Fingerprint())
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFingerprintMemo checks that the memoized per-activity fingerprints
+// and the aggregates built from them equal a direct re-hash of every
+// activity over the federated builtin+csinparallel corpus.
+func TestFingerprintMemo(t *testing.T) {
+	repo, err := corpus.LoadAll(corpus.Builtin(), corpus.CSinParallel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range repo.All() {
+		if got, want := repo.ActivityFingerprint(a.Slug), a.Fingerprint(); got != want {
+			t.Errorf("ActivityFingerprint(%q) = %.16s, want %.16s", a.Slug, got, want)
+		}
+	}
+	if got := repo.ActivityFingerprint("no-such-activity"); got != "" {
+		t.Errorf("unknown slug fingerprint = %q, want empty", got)
+	}
+	if got, want := repo.Fingerprint(), rehash(t, repo, nil, repo.Slugs()); got != want {
+		t.Errorf("Fingerprint = %.16s, want %.16s", got, want)
+	}
+	if len(repo.Sources()) != 2 {
+		t.Fatalf("sources = %v, want builtin and csinparallel", repo.Sources())
+	}
+	for _, src := range repo.Sources() {
+		want := rehash(t, repo, []string{src}, repo.BySource(src))
+		if got := repo.SourceFingerprint(src); got != want {
+			t.Errorf("SourceFingerprint(%q) = %.16s, want %.16s", src, got, want)
+		}
+	}
+}
+
+// TestGenerationIDsPinned pins the generation IDs (the first 16 hex
+// digits of the repository fingerprint) of the embedded corpora. Editing
+// the curation or the fingerprint definition moves them; changing only
+// when or how often fingerprints are computed must not.
+func TestGenerationIDsPinned(t *testing.T) {
+	builtin, err := curation.Repository()
+	if err != nil {
+		t.Fatal(err)
+	}
+	federated, err := corpus.LoadAll(corpus.Builtin(), corpus.CSinParallel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		repo *core.Repository
+		want string
+	}{
+		{"builtin", builtin, "6c87faad8508f67a"},
+		{"builtin+csinparallel", federated, "bd620c7e4e385db8"},
+	} {
+		if got := tc.repo.Fingerprint()[:16]; got != tc.want {
+			t.Errorf("%s generation id = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

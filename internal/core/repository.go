@@ -35,6 +35,7 @@ type Repository struct {
 
 	fpOnce sync.Once
 	fp     string
+	actFP  map[string]string // slug -> activity fingerprint, filled under fpOnce
 }
 
 // New builds a repository from parsed activities, validating each one and
@@ -164,17 +165,35 @@ func (r *Repository) Index() *taxonomy.Index { return r.index }
 // whole collection, so the incremental site builder keys their cache
 // entries on this value. Computed once; the repository is immutable.
 func (r *Repository) Fingerprint() string {
+	r.fingerprints()
+	return r.fp
+}
+
+// ActivityFingerprint returns the content hash of one activity (equal to
+// its Fingerprint method), or "" for an unknown slug. Every activity is
+// rendered and hashed once per repository, however many pages and
+// aggregate hashes read it.
+func (r *Repository) ActivityFingerprint(slug string) string {
+	r.fingerprints()
+	return r.actFP[slug]
+}
+
+// fingerprints computes every activity fingerprint and the repository
+// fingerprint over them, once.
+func (r *Repository) fingerprints() {
 	r.fpOnce.Do(func() {
+		r.actFP = make(map[string]string, len(r.order))
 		h := sha256.New()
 		for _, slug := range r.order {
+			fp := r.activities[slug].Fingerprint()
+			r.actFP[slug] = fp
 			io.WriteString(h, slug)
 			h.Write([]byte{0})
-			io.WriteString(h, r.activities[slug].Fingerprint())
+			io.WriteString(h, fp)
 			h.Write([]byte{0})
 		}
 		r.fp = hex.EncodeToString(h.Sum(nil))
 	})
-	return r.fp
 }
 
 // Sources returns the distinct non-empty source names present in the
@@ -197,7 +216,7 @@ func (r *Repository) SourceFingerprint(source string) string {
 	for _, slug := range r.bySource[source] {
 		io.WriteString(h, slug)
 		h.Write([]byte{0})
-		io.WriteString(h, r.activities[slug].Fingerprint())
+		io.WriteString(h, r.ActivityFingerprint(slug))
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))

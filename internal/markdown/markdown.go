@@ -11,10 +11,8 @@
 package markdown
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"pdcunplugged/internal/obs"
@@ -22,32 +20,9 @@ import (
 
 // EngineVersion names the renderer implementation revision. Cached page
 // fingerprints mix it in, so changing the dialect here invalidates every
-// memoized or cached render even when the source text is unchanged. Bump
-// it whenever Render's output can change for the same input.
+// cached page even when the source text is unchanged. Bump it whenever
+// Render's output can change for the same input.
 const EngineVersion = "md/1"
-
-var mdCacheTotal = obs.Default().Counter("pdcu_markdown_cache_total",
-	"Memoized markdown render lookups, by result (hit or miss).", "result")
-
-// renderCache memoizes RenderCached keyed by source hash. The site
-// builder renders the same fragments (section bodies, assessment sheets)
-// on every rebuild; the corpus is finite, so the cache is unbounded.
-var renderCache sync.Map // [32]byte source hash -> rendered HTML string
-
-// RenderCached is Render memoized by a hash of the source: repeated
-// renders of the same fragment return the cached HTML. Safe for
-// concurrent use; the build worker pool calls it from many goroutines.
-func RenderCached(src string) string {
-	key := sha256.Sum256([]byte(src))
-	if v, ok := renderCache.Load(key); ok {
-		mdCacheTotal.With("hit").Inc()
-		return v.(string)
-	}
-	mdCacheTotal.With("miss").Inc()
-	out := Render(src)
-	renderCache.Store(key, out)
-	return out
-}
 
 // Render converts Markdown source to HTML. Each call feeds the
 // markdown.render phase histogram without logging — rendering runs once
@@ -438,9 +413,33 @@ func parseLink(s string) (text, url string, n int) {
 	return s[1:close1], s[close1+2 : close1+2+close2], close1 + close2 + 3
 }
 
+// htmlEntities maps each byte that escape rewrites to its entity; every
+// other entry is empty. It is read-only, so all callers share it.
+var htmlEntities = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '"': "&quot;"}
+
+// escape HTML-escapes &, <, > and ". Input with nothing to escape is
+// returned as is; otherwise the escaped copy is sized exactly up front and
+// costs one allocation (strings.Replacer costs two).
 func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if e := htmlEntities[s[i]]; e != "" {
+			n += len(e) - 1
+		}
+	}
+	if n == len(s) {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := 0; i < len(s); i++ {
+		if e := htmlEntities[s[i]]; e != "" {
+			b.WriteString(e)
+		} else {
+			b.WriteByte(s[i])
+		}
+	}
+	return b.String()
 }
 
 // Escape exposes HTML escaping for other packages that compose rendered

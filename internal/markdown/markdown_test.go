@@ -295,20 +295,3 @@ func TestSectionsQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRenderCached(t *testing.T) {
-	src := "# Heading\n\nBody *text*.\n"
-	direct := Render(src)
-	if got := RenderCached(src); got != direct {
-		t.Errorf("RenderCached = %q, want %q", got, direct)
-	}
-	// A second lookup serves the memoized result and stays identical.
-	if got := RenderCached(src); got != direct {
-		t.Errorf("second RenderCached = %q, want %q", got, direct)
-	}
-	// Distinct sources do not collide.
-	other := "# Heading\n\nBody *text*!\n"
-	if RenderCached(other) == direct {
-		t.Error("distinct sources rendered identically")
-	}
-}

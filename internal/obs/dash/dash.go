@@ -322,7 +322,6 @@ func (h *handler) gaugeRows(fam, key string) []gaugeRow {
 var cacheFamilies = []struct{ fam, title string }{
 	{"pdcu_query_cache_total", "query results"},
 	{"pdcu_site_page_cache_total", "site pages"},
-	{"pdcu_markdown_cache_total", "markdown renders"},
 	{"pdcu_search_index_cache_total", "search indexes"},
 }
 

@@ -105,30 +105,40 @@ func Encode(g *engine.Generation) ([]byte, error) {
 		return nil, fmt.Errorf("replica: encode corpus: %w", err)
 	}
 
-	var pages bytes.Buffer
-	paths := g.Site.Paths()
-	writeU32(&pages, uint32(len(paths)))
-	for _, p := range paths {
-		writeStr(&pages, p)
-		data := g.Site.Pages[p]
-		writeU32(&pages, uint32(len(data)))
-		pages.Write(data)
-	}
-
 	index, err := g.Index.EncodeSnapshot()
 	if err != nil {
 		return nil, fmt.Errorf("replica: encode index: %w", err)
 	}
 
-	var out bytes.Buffer
-	out.WriteString(magic)
-	for i, payload := range [][]byte{metaPayload, corpus.Bytes(), pages.Bytes(), index} {
-		writeStr(&out, sectionNames[i])
-		writeU32(&out, uint32(len(payload)))
-		writeU32(&out, crc32.ChecksumIEEE(payload))
-		out.Write(payload)
+	// The site section is the bulk of a snapshot, so its payload is laid
+	// out straight into the envelope, which is sized once up front.
+	paths := g.Site.Paths()
+	pagesLen := 4
+	for _, p := range paths {
+		pagesLen += 8 + len(p) + len(g.Site.Pages[p])
 	}
-	return out.Bytes(), nil
+	size := len(magic) + len(metaPayload) + corpus.Len() + pagesLen + len(index)
+	for _, name := range sectionNames {
+		size += 12 + len(name)
+	}
+
+	out := make([]byte, 0, size)
+	out = append(out, magic...)
+	out = appendSection(out, sectionNames[0], metaPayload)
+	out = appendSection(out, sectionNames[1], corpus.Bytes())
+	out = appendStr(out, sectionNames[2])
+	out = appendU32(out, uint32(pagesLen))
+	crcAt := len(out)
+	out = appendU32(out, 0) // the CRC, patched once the payload is in place
+	out = appendU32(out, uint32(len(paths)))
+	for _, p := range paths {
+		out = appendStr(out, p)
+		data := g.Site.Pages[p]
+		out = appendU32(out, uint32(len(data)))
+		out = append(out, data...)
+	}
+	binary.LittleEndian.PutUint32(out[crcAt:], crc32.ChecksumIEEE(out[crcAt+4:]))
+	return appendSection(out, sectionNames[3], index), nil
 }
 
 // Decode reconstructs a servable generation from snapshot bytes. Every
@@ -279,17 +289,19 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// writeU32 appends v little-endian.
-func writeU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
-}
+// appendU32 appends v little-endian.
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 
-// writeStr appends a u32-length-prefixed string.
-func writeStr(b *bytes.Buffer, s string) {
-	writeU32(b, uint32(len(s)))
-	b.WriteString(s)
+// appendStr appends a u32-length-prefixed string.
+func appendStr(b []byte, s string) []byte { return append(appendU32(b, uint32(len(s))), s...) }
+
+// appendSection appends one framed section: name, payload length, CRC
+// and payload.
+func appendSection(b []byte, name string, payload []byte) []byte {
+	b = appendStr(b, name)
+	b = appendU32(b, uint32(len(payload)))
+	b = appendU32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
 // envReader is a bounds-checked cursor over envelope bytes: the first

@@ -17,13 +17,17 @@ type dict struct {
 	terms []string
 }
 
-// buildDict interns the given term set, sorted.
-func buildDict(set map[string]struct{}) dict {
+// buildDict interns the given term set, sorted, and records each term's
+// ID in the set so callers resolve terms without a binary search.
+func buildDict(set map[string]uint32) dict {
 	terms := make([]string, 0, len(set))
 	for t := range set {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
+	for id, t := range terms {
+		set[t] = uint32(id)
+	}
 	return dict{terms: terms}
 }
 

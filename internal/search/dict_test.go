@@ -10,9 +10,9 @@ import (
 )
 
 func testDict(terms ...string) dict {
-	set := make(map[string]struct{}, len(terms))
+	set := make(map[string]uint32, len(terms))
 	for _, t := range terms {
-		set[t] = struct{}{}
+		set[t] = 0
 	}
 	return buildDict(set)
 }

@@ -173,9 +173,9 @@ var (
 		"Wall-clock duration of the most recent search index build.")
 )
 
-// indexCache memoizes BuildCached keyed by corpus fingerprint. Unlike the
-// unbounded markdown render cache, live-reload can mint a new fingerprint
-// per edit, so the cache holds only the few most recent indexes.
+// indexCache memoizes BuildCached keyed by corpus fingerprint.
+// Live-reload can mint a new fingerprint per edit, so the cache holds
+// only the few most recent indexes.
 var indexCache = struct {
 	sync.Mutex
 	entries map[string]*list.Element // key -> element holding indexCacheEntry
@@ -259,7 +259,7 @@ func Build(acts []*activity.Activity) *Index {
 
 	// Pass 1: per-document weighted term frequencies and the vocabulary.
 	docTFs := make([]map[string]float64, n)
-	vocab := make(map[string]struct{})
+	vocab := make(map[string]uint32) // term -> ID once buildDict lays the dictionary out
 	for d, a := range sorted {
 		tf := map[string]float64{}
 		add := func(text string, weight float64) {
@@ -278,7 +278,7 @@ func Build(acts []*activity.Activity) *Index {
 		}
 		docTFs[d] = tf
 		for tok := range tf {
-			vocab[tok] = struct{}{}
+			vocab[tok] = 0
 		}
 	}
 
@@ -293,16 +293,16 @@ func Build(acts []*activity.Activity) *Index {
 		ix.slugs[d] = a.Slug
 	}
 
-	// Pass 2: resolve term IDs, compute norms (weighted tfs are integer
-	// sums, so the squared sums are exact regardless of order).
+	// Pass 2: resolve term IDs from vocab, compute norms (weighted tfs
+	// are integer sums, so the squared sums are exact regardless of order).
 	perDoc := make([][]docPosting, n)
 	df := make([]uint32, ix.dict.len_())
 	for d, tfs := range docTFs {
 		var sq float64
 		dps := make([]docPosting, 0, len(tfs))
 		for tok, tf := range tfs {
-			tid, _ := ix.dict.lookup(tok)
-			dps = append(dps, docPosting{tid: uint32(tid), tf: float32(tf)})
+			tid := vocab[tok]
+			dps = append(dps, docPosting{tid: tid, tf: float32(tf)})
 			df[tid]++
 			sq += tf * tf
 		}

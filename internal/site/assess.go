@@ -21,7 +21,7 @@ func (rn *renderer) buildAssessmentPage(a *activity.Activity) error {
 	if len(sheet.Items) == 0 {
 		return nil
 	}
-	body := markdown.RenderCached(sheet.Markdown()) +
+	body := markdown.Render(sheet.Markdown()) +
 		fmt.Sprintf("<p><a href=\"/activities/%s/\">Back to the activity</a></p>\n", a.Slug)
 	path := "assess/" + a.Slug + "/index.html"
 	return rn.renderPage(path, "Assessment: "+a.Title, nil, body)

@@ -48,7 +48,7 @@ func planJobs(repo *core.Repository) []job {
 	jobs := make([]job, 0, 2*repo.Len()+9)
 	for _, a := range repo.All() {
 		a := a
-		actFP := fingerprint(engineVersion, markdown.EngineVersion, a.Fingerprint())
+		actFP := fingerprint(engineVersion, markdown.EngineVersion, repo.ActivityFingerprint(a.Slug))
 		jobs = append(jobs,
 			job{id: "activity/" + a.Slug, stage: "activity", fp: actFP,
 				render: func(rn *renderer) error { return rn.buildActivity(a) }},
@@ -65,13 +65,14 @@ func planJobs(repo *core.Repository) []job {
 		overviewParts := []string{engineVersion, markdown.EngineVersion, "sources-overview"}
 		for _, src := range sources {
 			src := src
+			srcFP := repo.SourceFingerprint(src)
 			jobs = append(jobs, job{
 				id:     "source/" + src,
 				stage:  "source",
-				fp:     fingerprint(engineVersion, markdown.EngineVersion, repo.SourceFingerprint(src)),
+				fp:     fingerprint(engineVersion, markdown.EngineVersion, srcFP),
 				render: func(rn *renderer) error { return rn.buildSourcePage(src) },
 			})
-			overviewParts = append(overviewParts, repo.SourceFingerprint(src))
+			overviewParts = append(overviewParts, srcFP)
 		}
 		jobs = append(jobs, job{
 			id:     "sources",

@@ -110,7 +110,7 @@ func (rn *renderer) buildActivity(a *activity.Activity) error {
 		if strings.TrimSpace(md) == "" {
 			return
 		}
-		fmt.Fprintf(&body, "<section><h3>%s</h3>\n%s</section>\n", markdown.Escape(title), markdown.RenderCached(md))
+		fmt.Fprintf(&body, "<section><h3>%s</h3>\n%s</section>\n", markdown.Escape(title), markdown.Render(md))
 	}
 	var author strings.Builder
 	if a.Author != "" {
