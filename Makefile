@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet fmtcheck test test-race build fmt bench-smoke trace-overhead slo-smoke loadtest-baseline bench-index bench-index-record fuzz-smoke replica-smoke fleet-obs-smoke federation-smoke perf-publish
+.PHONY: check lint vet fmtcheck test test-race build fmt bench-smoke trace-overhead slo-smoke loadtest-baseline bench-index bench-index-record fuzz-smoke replica-smoke fleet-obs-smoke federation-smoke perf-publish stress
 
 check: lint test-race bench-smoke trace-overhead bench-index slo-smoke replica-smoke fleet-obs-smoke federation-smoke
 
@@ -62,6 +62,16 @@ bench-index:
 
 bench-index-record:
 	PDCU_BENCH_SEARCH_RECORD=1 $(GO) test -run=TestSearchBenchGate -count=1 -v .
+
+# Flake hunt: the packages with timers, watchers, replication and live
+# servers, twenty times over in shuffled order under the race detector.
+# A test that fails here once in twenty fails tier-1 runs too. Slow, so
+# not part of check.
+STRESS_PKGS = ./internal/watch ./internal/engine ./internal/replica \
+	./internal/loadgen ./internal/obs/fleet ./cmd/pdcu
+
+stress:
+	$(GO) test -race -shuffle=on -count=20 $(STRESS_PKGS)
 
 # Short native-fuzzing burst over the tokenizer and the query paths:
 # catches panics and broken invariants on adversarial input without a

@@ -2,7 +2,7 @@ package pdcunplugged_test
 
 // The `make bench-index` gate: re-measure the search/index benchmark
 // suite and compare it against the committed BENCH_search.json
-// trajectory with noise-tolerant thresholds (search.GateTrajectory).
+// trajectory with noise-tolerant thresholds (bench.Gate).
 // Re-record after an intentional performance change with
 //
 //	PDCU_BENCH_SEARCH_RECORD=1 go test -run TestSearchBenchGate -count=1 .
@@ -16,6 +16,7 @@ import (
 	"os"
 	"testing"
 
+	"pdcunplugged/internal/bench"
 	"pdcunplugged/internal/engine"
 	"pdcunplugged/internal/query"
 	"pdcunplugged/internal/search"
@@ -54,15 +55,15 @@ func benchQueryServeCold(b *testing.B) {
 }
 
 // measureSuite runs every gated benchmark once via testing.Benchmark.
-func measureSuite(t *testing.T) map[string]search.BenchResult {
+func measureSuite(t *testing.T) map[string]bench.Result {
 	t.Helper()
-	out := make(map[string]search.BenchResult, len(gatedBenchmarks))
+	out := make(map[string]bench.Result, len(gatedBenchmarks))
 	for _, gb := range gatedBenchmarks {
 		r := testing.Benchmark(gb.fn)
 		if r.N == 0 {
 			t.Fatalf("benchmark %s did not run", gb.name)
 		}
-		out[gb.name] = search.BenchResult{
+		out[gb.name] = bench.Result{
 			NsPerOp:     float64(r.NsPerOp()),
 			AllocsPerOp: float64(r.AllocsPerOp()),
 			BytesPerOp:  float64(r.AllocedBytesPerOp()),
@@ -88,16 +89,16 @@ func TestSearchBenchGate(t *testing.T) {
 
 	if os.Getenv("PDCU_BENCH_SEARCH_RECORD") != "" {
 		bi := engine.ReadBuildInfo()
-		rec := search.TrajectoryRecord{
+		rec := bench.Record{
 			Engine: search.EngineVersion,
-			Build: search.BenchStamp{
+			Build: bench.Stamp{
 				GoVersion: bi.GoVersion,
 				Revision:  bi.Revision,
 				Modified:  bi.Modified,
 			},
 			Benchmarks: cur,
 		}
-		traj, err := search.AppendRecord(benchTrajectoryPath, rec)
+		traj, err := bench.AppendRecord(benchTrajectoryPath, rec)
 		if err != nil {
 			t.Fatalf("recording trajectory: %v", err)
 		}
@@ -106,7 +107,7 @@ func TestSearchBenchGate(t *testing.T) {
 		return
 	}
 
-	traj, err := search.LoadTrajectory(benchTrajectoryPath)
+	traj, err := bench.LoadTrajectory(benchTrajectoryPath)
 	if err != nil {
 		t.Fatalf("no committed baseline: %v (record one with PDCU_BENCH_SEARCH_RECORD=1)", err)
 	}
@@ -118,7 +119,7 @@ func TestSearchBenchGate(t *testing.T) {
 		t.Fatalf("baseline engine %s, binary speaks %s — re-record with PDCU_BENCH_SEARCH_RECORD=1",
 			base.Engine, search.EngineVersion)
 	}
-	violations := search.GateTrajectory(base, cur, search.GateOpts{})
+	violations := bench.Gate(base, cur)
 	for _, v := range violations {
 		t.Error(v.String())
 	}

@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"time"
 
+	"pdcunplugged/internal/bench"
 	"pdcunplugged/internal/engine"
 	"pdcunplugged/internal/loadgen"
 	"pdcunplugged/internal/obs"
@@ -169,7 +170,7 @@ func cmdLoadtest(args []string, w io.Writer) error {
 		return fmt.Errorf("loadtest: %w", err)
 	}
 	bi := engine.ReadBuildInfo()
-	rep.Build = loadgen.BuildStamp{
+	rep.Build = bench.Stamp{
 		Version:   bi.Version,
 		GoVersion: bi.GoVersion,
 		Revision:  bi.Revision,
@@ -205,21 +206,21 @@ func cmdLoadtest(args []string, w io.Writer) error {
 	}
 
 	if *baseline != "" {
-		if err := loadgen.WriteBaseline(*baseline, rep); err != nil {
+		if err := bench.Write(*baseline, rep); err != nil {
 			return fmt.Errorf("loadtest: write baseline: %w", err)
 		}
 		fmt.Fprintf(w, "baseline written to %s\n", *baseline)
 	}
 	if *gatePath != "" {
-		base, err := loadgen.LoadBaseline(*gatePath)
-		if err != nil {
-			return fmt.Errorf("loadtest: %w", err)
+		base := &loadgen.Report{}
+		if err := bench.Read(*gatePath, loadgen.ReportSchema, base); err != nil {
+			return fmt.Errorf("loadtest: baseline %w", err)
 		}
 		if base.Config.Mix != rep.Config.Mix || base.Config.QPS != rep.Config.QPS {
 			fmt.Fprintf(w, "note: run config differs from baseline (%s @ %g qps vs %s @ %g qps); thresholds still apply\n",
 				rep.Config.Mix, rep.Config.QPS, base.Config.Mix, base.Config.QPS)
 		}
-		violations := loadgen.Gate(base, rep, loadgen.GateOptions{})
+		violations := loadgen.Gate(base, rep)
 		if len(violations) == 0 {
 			fmt.Fprintf(w, "gate PASS against %s\n", *gatePath)
 			return nil

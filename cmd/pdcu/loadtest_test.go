@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pdcunplugged/internal/bench"
 	"pdcunplugged/internal/loadgen"
 )
 
@@ -97,8 +98,8 @@ func TestLoadtestBaselineWriteAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadtest: %v\n%s", err, out)
 	}
-	rep, err := loadgen.LoadBaseline(path)
-	if err != nil {
+	rep := &loadgen.Report{}
+	if err := bench.Read(path, loadgen.ReportSchema, rep); err != nil {
 		t.Fatalf("written baseline does not load: %v", err)
 	}
 	if rep.Requests == 0 || rep.Build.GoVersion == "" {

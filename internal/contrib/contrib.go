@@ -77,9 +77,7 @@ func (r *Review) Summary() string {
 // Evaluate reviews a submission (slug + raw Markdown) against the current
 // repository.
 func Evaluate(repo *core.Repository, slug, content string) *Review {
-	// The memoized build means reviewing many submissions against one
-	// corpus inverts the index once.
-	return EvaluateIndexed(repo, search.BuildCached(repo.Fingerprint(), repo.All()), slug, content)
+	return EvaluateIndexed(repo, search.Build(repo.All()), slug, content)
 }
 
 // EvaluateIndexed is Evaluate with a caller-supplied search index over

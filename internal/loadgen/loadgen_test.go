@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pdcunplugged/internal/bench"
 	"pdcunplugged/internal/obs/slo"
 )
 
@@ -182,7 +183,7 @@ func baseReport() *Report {
 // CI runs on different hardware.
 func TestGateNoFalsePositives(t *testing.T) {
 	base := baseReport()
-	if v := Gate(base, base, GateOptions{}); len(v) != 0 {
+	if v := Gate(base, base); len(v) != 0 {
 		t.Fatalf("identical reports violated the gate: %v", v)
 	}
 	cur := baseReport()
@@ -191,7 +192,9 @@ func TestGateNoFalsePositives(t *testing.T) {
 	cur.Endpoints["search"] = es
 	cur.ErrorRate = 0.004 // under the 0.5% floor despite a zero baseline
 	cur.Alloc.BytesPerOp = 9000
-	if v := Gate(base, cur, GateOptions{}); len(v) != 0 {
+	// Past the 5% shed floor but within twice a 3% baseline.
+	base.ShedRate, cur.ShedRate = 0.03, 0.055
+	if v := Gate(base, cur); len(v) != 0 {
 		t.Fatalf("noise-level drift violated the gate: %v", v)
 	}
 }
@@ -205,22 +208,22 @@ func TestGateCatchesRegressions(t *testing.T) {
 	es.P99ms = 60 // injected stall: over both factor and floor
 	cur.Endpoints["search"] = es
 	cur.ErrorRate = 0.02
-	cur.ShedRate = 0.2
+	base.ShedRate, cur.ShedRate = 0.03, 0.2
 	cur.Alloc.BytesPerOp = 40000
 	cur.SLO = []slo.Status{{Name: "query-latency", Breached: true, FastBurn: 50, SlowBurn: 30}}
 
-	violations := Gate(base, cur, GateOptions{})
+	violations := Gate(base, cur)
 	want := map[string]bool{
 		"latency:search": false, "error-rate": false, "shed-rate": false,
 		"alloc-bytes": false, "slo:query-latency": false,
 	}
 	for _, v := range violations {
-		if _, ok := want[v.Objective]; !ok {
-			t.Errorf("unexpected violation %q: %s", v.Objective, v)
+		if _, ok := want[v.Metric]; !ok {
+			t.Errorf("unexpected violation %q: %s", v.Metric, v)
 			continue
 		}
-		want[v.Objective] = true
-		if v.String() == "" || !strings.Contains(v.String(), v.Objective) {
+		want[v.Metric] = true
+		if v.String() == "" || !strings.Contains(v.String(), v.Metric) {
 			t.Errorf("violation string does not name its objective: %s", v)
 		}
 	}
@@ -231,7 +234,7 @@ func TestGateCatchesRegressions(t *testing.T) {
 	}
 	// The untouched endpoint must not be flagged.
 	for _, v := range violations {
-		if v.Objective == "latency:site" {
+		if v.Metric == "latency:site" {
 			t.Errorf("site latency flagged without a regression: %s", v)
 		}
 	}
@@ -240,13 +243,13 @@ func TestGateCatchesRegressions(t *testing.T) {
 func TestBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_loadtest.json")
 	rep := baseReport()
-	rep.Build = BuildStamp{Version: "(devel)", GoVersion: "go1.x"}
-	if err := WriteBaseline(path, rep); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
+	rep.Build = bench.Stamp{Version: "(devel)", GoVersion: "go1.x"}
+	if err := bench.Write(path, rep); err != nil {
+		t.Fatalf("bench.Write: %v", err)
 	}
-	got, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
+	got := &Report{}
+	if err := bench.Read(path, ReportSchema, got); err != nil {
+		t.Fatalf("bench.Read: %v", err)
 	}
 	if got.Requests != rep.Requests || got.Endpoints["search"].P99ms != 1.5 {
 		t.Fatalf("round trip mangled the report: %+v", got)
@@ -256,13 +259,13 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 
 	rep.Schema = ReportSchema + 1
-	if err := WriteBaseline(path, rep); err != nil {
+	if err := bench.Write(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBaseline(path); err == nil {
+	if err := bench.Read(path, ReportSchema, &Report{}); err == nil {
 		t.Fatal("schema mismatch not rejected")
 	}
-	if _, err := LoadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if err := bench.Read(filepath.Join(t.TempDir(), "missing.json"), ReportSchema, &Report{}); err == nil {
 		t.Fatal("missing baseline not an error")
 	}
 }

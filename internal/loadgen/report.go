@@ -6,24 +6,16 @@ import (
 	"strings"
 	"time"
 
+	"pdcunplugged/internal/bench"
 	"pdcunplugged/internal/obs/slo"
 )
 
-// ReportSchema versions the BENCH_loadtest.json layout; Gate refuses to
-// compare across schema versions rather than misreading old fields.
+// ReportSchema versions the BENCH_loadtest.json layout; bench.Read
+// refuses a baseline of another schema rather than misreading its fields.
 const ReportSchema = 1
 
-// BuildStamp records which binary produced a report, so a committed
-// baseline is traceable to a commit and a Go toolchain.
-type BuildStamp struct {
-	Version   string `json:"version,omitempty"`
-	GoVersion string `json:"go_version,omitempty"`
-	Revision  string `json:"revision,omitempty"`
-	Modified  bool   `json:"modified,omitempty"`
-}
-
 // RunConfig is the portion of Options that makes two reports
-// comparable; Gate warns when they differ.
+// comparable; `pdcu loadtest -gate` notes when they differ.
 type RunConfig struct {
 	Mix         string  `json:"mix"`
 	QPS         float64 `json:"qps"`
@@ -61,7 +53,7 @@ type EndpointStats struct {
 // `pdcu loadtest -baseline` and compared by `-gate`.
 type Report struct {
 	Schema      int                      `json:"schema"`
-	Build       BuildStamp               `json:"build"`
+	Build       bench.Stamp              `json:"build"`
 	Config      RunConfig                `json:"config"`
 	WallSeconds float64                  `json:"wall_seconds"`
 	Requests    int64                    `json:"requests"`
@@ -231,4 +223,49 @@ func (r *Report) Text() string {
 			s.Name, s.BudgetRemaining*100, s.FastBurn, s.SlowBurn, state)
 	}
 	return b.String()
+}
+
+// Thresholds of Gate. A p99 fails only above max(3× baseline, 25ms):
+// the floor absorbs scheduler noise on sub-millisecond baselines. Error
+// and shed rates may double, with floors so that a one-off flake on a
+// zero-error baseline cannot fail the gate.
+const (
+	latencyFactor, latencyFloorMs = 3, 25
+	rateFactor                    = 2
+	errorRateFloor                = 0.005
+	shedRateFloor                 = 0.05
+	allocFactor, allocFloorBytes  = 2.5, 16384
+)
+
+// Gate compares a fresh run against a baseline report and returns every
+// violated objective (empty = pass).
+func Gate(base, cur *Report) []bench.Violation {
+	var out []bench.Violation
+	// An endpoint absent from the baseline is skipped: a new traffic
+	// class has nothing to regress against.
+	for name, b := range base.Endpoints {
+		if c, ok := cur.Endpoints[name]; ok && c.Requests > 0 {
+			out = bench.Check(out, "latency:"+name, b.P99ms, c.P99ms, latencyFactor, latencyFloorMs)
+		}
+	}
+	out = bench.Check(out, "error-rate", base.ErrorRate, cur.ErrorRate, rateFactor, errorRateFloor)
+	out = bench.Check(out, "shed-rate", base.ShedRate, cur.ShedRate, rateFactor, shedRateFloor)
+	// Allocation growth only when both runs measured it (both self-serve
+	// or both remote; the scopes differ otherwise).
+	if base.Alloc.Available && cur.Alloc.Available {
+		out = bench.Check(out, "alloc-bytes", base.Alloc.BytesPerOp, cur.Alloc.BytesPerOp, allocFactor, allocFloorBytes)
+	}
+	// A breached server-side SLO fails outright: the error budget is the
+	// contract, not a relative comparison.
+	for _, s := range cur.SLO {
+		if s.Breached {
+			out = append(out, bench.Violation{
+				Metric: "slo:" + s.Name,
+				Detail: fmt.Sprintf("objective breached: burn fast %.2fx slow %.2fx, budget %.1f%% remaining",
+					s.FastBurn, s.SlowBurn, s.BudgetRemaining*100),
+				Baseline: 1, Current: s.BudgetRemaining, Limit: 0,
+			})
+		}
+	}
+	return out
 }

@@ -92,7 +92,7 @@ var endpointMetricsFor = map[string]*endpointMetrics{
 const genLen = 16
 
 // Snapshot is one immutable generation of the served data: the repository,
-// its memoized search index, and the generation tag that keys every cache
+// its search index, and the generation tag that keys every cache
 // entry rendered from it.
 type Snapshot struct {
 	Repo       *core.Repository
@@ -100,23 +100,25 @@ type Snapshot struct {
 	Generation string
 }
 
-// NewSnapshot derives a snapshot from a repository. The index build is
-// memoized on the repository fingerprint (search.BuildCached), so
-// re-snapshotting an unchanged corpus — every no-op live-reload rebuild —
-// reuses the existing inverted index.
+// NewSnapshot derives a snapshot from a repository, building its search
+// index.
 func NewSnapshot(repo *core.Repository) *Snapshot {
 	return NewSnapshotContext(context.Background(), repo)
 }
 
 // NewSnapshotContext is NewSnapshot with trace propagation: when ctx
 // carries a span (a -watch rebuild trace), the index build appears as a
-// child span.
+// "search.build_index" child span.
 func NewSnapshotContext(ctx context.Context, repo *core.Repository) *Snapshot {
-	fp := repo.Fingerprint()
+	acts := repo.All()
+	_, sp := trace.StartSpan(ctx, "search.build_index")
+	sp.SetAttr("activities", strconv.Itoa(len(acts)))
+	ix := search.Build(acts)
+	sp.End()
 	return &Snapshot{
 		Repo:       repo,
-		Index:      search.BuildCachedContext(ctx, fp, repo.All()),
-		Generation: fp[:genLen],
+		Index:      ix,
+		Generation: repo.Fingerprint()[:genLen],
 	}
 }
 

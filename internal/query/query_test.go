@@ -441,12 +441,9 @@ func TestHeadRequests(t *testing.T) {
 	}
 }
 
-func TestSnapshotIndexMemoized(t *testing.T) {
+func TestSnapshotGeneration(t *testing.T) {
 	repo := corpusRepo(t)
 	a, b := NewSnapshot(repo), NewSnapshot(repo)
-	if a.Index != b.Index {
-		t.Error("snapshots over one repository rebuilt the search index")
-	}
 	if a.Generation != b.Generation || len(a.Generation) != genLen {
 		t.Errorf("generations %q vs %q", a.Generation, b.Generation)
 	}

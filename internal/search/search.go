@@ -25,27 +25,22 @@
 package search
 
 import (
-	"container/list"
-	"context"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unicode"
 
 	"pdcunplugged/internal/activity"
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/trace"
 	"pdcunplugged/internal/taxonomy"
 )
 
-// EngineVersion names the tokenizer/index implementation revision. Cached
-// index keys mix it in, so changing tokenization or scoring here
-// invalidates every memoized index even when the corpus is unchanged.
-// Bump it whenever Build's output can change for the same input.
+// EngineVersion names the tokenizer/index implementation revision. The
+// benchmark trajectory (BENCH_search.json) keys its records by it, so a
+// bump starts a new point in the performance history. Bump it whenever
+// Build's output can change for the same input.
 const EngineVersion = "search/3"
 
 // Field weights: a hit in a title matters more than one in the details.
@@ -155,9 +150,6 @@ var stopWords = map[string]bool{
 	"each": true, "into": true, "from": true,
 }
 
-var indexCacheTotal = obs.Default().Counter("pdcu_search_index_cache_total",
-	"Memoized search-index builds, by result (hit or miss).", "result")
-
 // Index-shape gauges, refreshed by every Build; the /debug/obs dashboard
 // renders them as the "Search index" panel.
 var (
@@ -172,66 +164,6 @@ var (
 	indexBuildSecondsGauge = obs.Default().Gauge("pdcu_search_index_build_seconds",
 		"Wall-clock duration of the most recent search index build.")
 )
-
-// indexCache memoizes BuildCached keyed by corpus fingerprint.
-// Live-reload can mint a new fingerprint per edit, so the cache holds
-// only the few most recent indexes.
-var indexCache = struct {
-	sync.Mutex
-	entries map[string]*list.Element // key -> element holding indexCacheEntry
-	order   *list.List               // front = most recently used
-}{entries: map[string]*list.Element{}, order: list.New()}
-
-const indexCacheCap = 8
-
-type indexCacheEntry struct {
-	key string
-	ix  *Index
-}
-
-// BuildCached is Build memoized by a caller-supplied corpus key (use
-// Repository.Fingerprint()): repeated builds over an unchanged corpus —
-// CLI calls, live-reload rebuilds, query-service swaps — return the same
-// immutable Index instead of re-inverting it. Safe for concurrent use.
-func BuildCached(key string, acts []*activity.Activity) *Index {
-	return BuildCachedContext(context.Background(), key, acts)
-}
-
-// BuildCachedContext is BuildCached with trace propagation: when ctx
-// carries a span, the lookup (and the inversion, on a miss) runs under
-// a "search.build_index" child span annotated with the cache result.
-func BuildCachedContext(ctx context.Context, key string, acts []*activity.Activity) *Index {
-	_, sp := trace.StartSpan(ctx, "search.build_index")
-	defer sp.End()
-	key = EngineVersion + "\x00" + key
-	indexCache.Lock()
-	if el, ok := indexCache.entries[key]; ok {
-		indexCache.order.MoveToFront(el)
-		ix := el.Value.(indexCacheEntry).ix
-		indexCache.Unlock()
-		indexCacheTotal.With("hit").Inc()
-		sp.SetAttr("result", "hit")
-		return ix
-	}
-	indexCache.Unlock()
-	indexCacheTotal.With("miss").Inc()
-	sp.SetAttr("result", "miss")
-	sp.SetAttr("activities", strconv.Itoa(len(acts)))
-	ix := Build(acts)
-	indexCache.Lock()
-	defer indexCache.Unlock()
-	if el, ok := indexCache.entries[key]; ok { // lost a concurrent build race
-		indexCache.order.MoveToFront(el)
-		return el.Value.(indexCacheEntry).ix
-	}
-	indexCache.entries[key] = indexCache.order.PushFront(indexCacheEntry{key: key, ix: ix})
-	for indexCache.order.Len() > indexCacheCap {
-		oldest := indexCache.order.Back()
-		indexCache.order.Remove(oldest)
-		delete(indexCache.entries, oldest.Value.(indexCacheEntry).key)
-	}
-	return ix
-}
 
 // docPosting is a build-time (term ID, weighted tf) pair for one document.
 type docPosting struct {

@@ -191,31 +191,3 @@ func TestCompoundQueryRanksTranspositionFirst(t *testing.T) {
 		t.Errorf(`Search("odd-even") = %+v, want oddeven-transposition first`, hits)
 	}
 }
-
-func TestBuildCachedMemoizes(t *testing.T) {
-	acts := curation.Activities()
-	h0 := indexCacheTotal.With("hit").Value()
-	m0 := indexCacheTotal.With("miss").Value()
-
-	a := BuildCached("test-build-cached-key", acts)
-	b := BuildCached("test-build-cached-key", acts)
-	if a != b {
-		t.Error("same key rebuilt the index")
-	}
-	if d := indexCacheTotal.With("miss").Value() - m0; d != 1 {
-		t.Errorf("miss delta = %v, want 1", d)
-	}
-	if d := indexCacheTotal.With("hit").Value() - h0; d != 1 {
-		t.Errorf("hit delta = %v, want 1", d)
-	}
-
-	c := BuildCached("test-build-cached-other", acts[:5])
-	if c == a || c.Len() != 5 {
-		t.Errorf("different key shared an index (len %d)", c.Len())
-	}
-	// The memoized index answers queries identically to a fresh build.
-	fresh := Build(acts)
-	if !reflect.DeepEqual(a.Search("byzantine", 3), fresh.Search("byzantine", 3)) {
-		t.Error("cached and fresh indexes disagree")
-	}
-}

@@ -18,7 +18,7 @@ import (
 )
 
 var scansTotal = obs.Default().Counter("pdcu_watch_scans_total",
-	"Watcher poll scans, by result (changed, unchanged, error).",
+	"Watcher poll scans, by result (changed, pending, unchanged, error).",
 	"result")
 
 // fileState is the per-file change signal: a rewrite that preserves both
@@ -82,16 +82,50 @@ func (s Snapshot) Equal(other Snapshot) bool {
 	return true
 }
 
-// Watch polls root every interval and calls onChange after each scan
-// that differs from the previous one. The initial scan establishes the
+// settle turns a sequence of scans into change events. A multi-file
+// change (an os.RemoveAll, an editor's write-then-rename) can be caught
+// half done by one scan; firing on every differing scan would then count
+// one change as two. So a change fires only once a successful scan
+// differs from the last fired state and equals the scan just before it.
+// A failed scan resets that pending state.
+type settle struct {
+	fired  Snapshot // the tree state the last onChange saw
+	last   Snapshot // the previous successful scan
+	lastOK bool     // false after a failed scan
+}
+
+// observe folds one scan result in and reports it as a scan result
+// label: "changed" (fire onChange), "pending" (differs, not yet
+// settled), "unchanged" or "error".
+func (s *settle) observe(next Snapshot, err error) string {
+	if err != nil {
+		s.lastOK = false
+		return "error"
+	}
+	settled := s.lastOK && next.Equal(s.last)
+	s.last, s.lastOK = next, true
+	switch {
+	case next.Equal(s.fired):
+		return "unchanged"
+	case !settled:
+		return "pending"
+	}
+	s.fired = next
+	return "changed"
+}
+
+// Watch polls root every interval and calls onChange once per settled
+// change: after a scan that differs from the state the previous call saw
+// and equals the scan before it. The initial scan establishes the
 // baseline without firing. Scan errors are logged and counted but do
 // not stop the loop (a file may vanish mid-walk during a save). Watch
 // blocks until ctx is done and then returns ctx.Err().
 func Watch(ctx context.Context, root string, interval time.Duration, onChange func()) error {
-	prev, err := Scan(root)
+	first, err := Scan(root)
 	if err != nil {
 		return err
 	}
+	st := settle{fired: first, last: first, lastOK: true}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -101,17 +135,13 @@ func Watch(ctx context.Context, root string, interval time.Duration, onChange fu
 		case <-ticker.C:
 		}
 		next, err := Scan(root)
-		if err != nil {
-			scansTotal.With("error").Inc()
+		result := st.observe(next, err)
+		scansTotal.With(result).Inc()
+		switch result {
+		case "error":
 			obs.Logger().Warn("watch scan failed", "root", root, "err", err)
-			continue
+		case "changed":
+			onChange()
 		}
-		if next.Equal(prev) {
-			scansTotal.With("unchanged").Inc()
-			continue
-		}
-		scansTotal.With("changed").Inc()
-		prev = next
-		onChange()
 	}
 }

@@ -240,6 +240,60 @@ func TestWatchRootVanishes(t *testing.T) {
 	}
 }
 
+// TestWatchRemovalFileByFile drives the settle rule with a scan after
+// every step of a tree removal, the interleaving a poll tick can catch
+// an os.RemoveAll in: the half-removed states must not fire, and the
+// whole removal fires exactly once. A failed scan in the middle resets
+// the pending state, so it cannot settle a change on its own.
+func TestWatchRemovalFileByFile(t *testing.T) {
+	dir := t.TempDir()
+	files := []string{"sub/a.md", "sub/b.md", "sub/c.md"}
+	for _, f := range files {
+		write(t, filepath.Join(dir, f), f)
+	}
+	write(t, filepath.Join(dir, "keep.md"), "keep")
+
+	first, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := settle{fired: first, last: first, lastOK: true}
+	fires := 0
+	scan := func(step string) {
+		t.Helper()
+		if st.observe(Scan(dir)) == "changed" {
+			fires++
+			t.Logf("fired after %s", step)
+		}
+	}
+	for _, f := range files {
+		if err := os.Remove(filepath.Join(dir, f)); err != nil {
+			t.Fatal(err)
+		}
+		scan("removing " + f)
+		if fires != 0 {
+			t.Fatalf("half-removed tree fired after removing %s", f)
+		}
+	}
+	if got := st.observe(nil, os.ErrNotExist); got != "error" {
+		t.Fatalf("failed scan observed as %q", got)
+	}
+	scan("a failed scan")
+	if fires != 0 {
+		t.Fatal("a scan right after a failed scan fired")
+	}
+	if err := os.Remove(filepath.Join(dir, "sub")); err != nil {
+		t.Fatal(err)
+	}
+	scan("removing sub/")
+	for i := 0; i < 3; i++ {
+		scan("an idle scan")
+	}
+	if fires != 1 {
+		t.Errorf("tree removed file by file fired %d rebuilds, want exactly 1", fires)
+	}
+}
+
 func TestWatchMissingRoot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -214,10 +214,8 @@ type SearchIndex = search.Index
 // SearchHit is one ranked result.
 type SearchHit = search.Hit
 
-// NewSearchIndex indexes the repository for ranked full-text search. The
-// build is memoized on the repository fingerprint, so repeated calls over
-// an unchanged corpus return the same immutable index.
-func NewSearchIndex(r *Repository) *SearchIndex { return search.BuildCached(r.Fingerprint(), r.All()) }
+// NewSearchIndex indexes the repository for ranked full-text search.
+func NewSearchIndex(r *Repository) *SearchIndex { return search.Build(r.All()) }
 
 // Review is a curator report on a contributed activity.
 type Review = contrib.Review

@@ -8,11 +8,12 @@ package pdcunplugged_test
 import (
 	"testing"
 
+	"pdcunplugged/internal/bench"
 	"pdcunplugged/internal/search"
 )
 
 func TestBenchTrajectoryAcceptance(t *testing.T) {
-	traj, err := search.LoadTrajectory(benchTrajectoryPath)
+	traj, err := bench.LoadTrajectory(benchTrajectoryPath)
 	if err != nil {
 		t.Fatalf("committed trajectory missing: %v", err)
 	}
