@@ -160,11 +160,13 @@ func AppendRecord(path string, rec Record) (*Trajectory, error) {
 
 // Thresholds of Gate. ns/op may triple before failing, and never fails
 // below 20µs, where scheduler noise dominates. Allocation counts are
-// near-deterministic, so their band is much tighter.
+// near-deterministic, so their band is much tighter, and their floors sit
+// below the cost of the smallest gated benchmark (Suggest: 1 alloc, 76
+// bytes per op) so that every benchmark's allocations can fail the gate.
 const (
 	nsFactor, nsFloor         = 3, 20000
-	allocsFactor, allocsFloor = 1.3, 24
-	bytesFactor, bytesFloor   = 1.5, 4096
+	allocsFactor, allocsFloor = 1.3, 2
+	bytesFactor, bytesFloor   = 1.5, 256
 )
 
 // Gate compares freshly measured results against a committed record and

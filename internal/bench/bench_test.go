@@ -12,7 +12,8 @@ func baseRecord() *Record {
 	return &Record{
 		Engine: "search/3",
 		Benchmarks: map[string]Result{
-			"SearchCold":     {NsPerOp: 1000, AllocsPerOp: 9, BytesPerOp: 800},
+			"SearchCold":     {NsPerOp: 1000, AllocsPerOp: 11, BytesPerOp: 477},
+			"Suggest":        {NsPerOp: 300, AllocsPerOp: 1, BytesPerOp: 76},
 			"QueryServeCold": {NsPerOp: 80000, AllocsPerOp: 80, BytesPerOp: 60000},
 		},
 	}
@@ -31,11 +32,16 @@ func TestGate(t *testing.T) {
 		{"under the floor passes", map[string]Result{
 			// 15x the ns baseline but under the 20µs floor; allocs and
 			// bytes past their factors but under their floors.
-			"SearchCold": {NsPerOp: 15000, AllocsPerOp: 20, BytesPerOp: 4000},
+			"SearchCold": {NsPerOp: 15000, AllocsPerOp: 11, BytesPerOp: 477},
+			"Suggest":    {NsPerOp: 300, AllocsPerOp: 2, BytesPerOp: 256},
 		}, nil},
 		{"above factor and floor fails", map[string]Result{
-			"SearchCold": {NsPerOp: 1000, AllocsPerOp: 40, BytesPerOp: 800},
+			"SearchCold": {NsPerOp: 1000, AllocsPerOp: 40, BytesPerOp: 477},
 		}, []string{"SearchCold:allocs_per_op"}},
+		{"a small benchmark's allocations can fail", map[string]Result{
+			"SearchCold": {NsPerOp: 1000, AllocsPerOp: 20, BytesPerOp: 477},
+			"Suggest":    {NsPerOp: 300, AllocsPerOp: 1, BytesPerOp: 257},
+		}, []string{"SearchCold:allocs_per_op", "Suggest:bytes_per_op"}},
 		{"every metric of a benchmark can fail", map[string]Result{
 			"QueryServeCold": {NsPerOp: 250000, AllocsPerOp: 105, BytesPerOp: 90001},
 		}, []string{"QueryServeCold:ns_per_op", "QueryServeCold:allocs_per_op", "QueryServeCold:bytes_per_op"}},

@@ -2,20 +2,23 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestParseExpositionRoundTrip pins the parser against the writer: a
-// registry rendered by WritePrometheus must parse back into the same
-// families, kinds, labels, and values — including escaped label values
-// and the histogram's cumulative bucket lines.
+// registry rendered by WritePrometheus parses back into exactly what
+// Gather returns (families with no series aside, since the writer skips
+// them) — kinds, help, label order, escaped label values, and each
+// histogram reassembled from its cumulative bucket lines.
 func TestParseExpositionRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("rt_requests_total", "requests", "path", "code").With("/api", "200").Add(41)
 	reg.Counter("rt_requests_total", "requests", "path", "code").With("/api", "500").Add(2)
 	reg.Gauge("rt_lag", "lag").Set(3)
 	reg.Gauge("rt_weird", "escapes", "q").With(`sl\ash "quote"` + "\nnl").Set(-1.5)
+	reg.Gauge("rt_declared_only", "no series yet", "x")
 	h := reg.Histogram("rt_latency_seconds", "latency", []float64{0.01, 0.1}, "ep")
 	h.With("search").Observe(0.005)
 	h.With("search").Observe(0.05)
@@ -29,57 +32,46 @@ func TestParseExpositionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseExposition: %v\nbody:\n%s", err, b.String())
 	}
+	var want []FamilySnapshot
+	for _, f := range reg.Gather() {
+		if len(f.Series) > 0 {
+			want = append(want, f)
+		}
+	}
+	if !reflect.DeepEqual(fams, want) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", fams, want)
+	}
 
-	byName := map[string]ExpoFamily{}
+	byName := map[string]FamilySnapshot{}
 	for _, f := range fams {
 		byName[f.Name] = f
 	}
 	if len(byName) != 4 {
 		t.Fatalf("parsed %d families, want 4: %+v", len(byName), fams)
 	}
-
 	ctr := byName["rt_requests_total"]
-	if ctr.Kind != KindCounter || ctr.Help != "requests" {
-		t.Errorf("counter family = kind %v help %q", ctr.Kind, ctr.Help)
+	if ctr.Kind != KindCounter || ctr.Help != "requests" || len(ctr.Series) != 2 {
+		t.Errorf("counter family = %+v", ctr)
 	}
-	if len(ctr.Samples) != 2 {
-		t.Fatalf("counter samples = %d, want 2", len(ctr.Samples))
+	if s := ctr.Series[0]; s.Value != 41 || s.Labels["path"] != "/api" || s.Labels["code"] != "200" {
+		t.Errorf("counter series 0 = %+v", s)
 	}
-	if s := ctr.Samples[0]; s.Value != 41 || s.Label("path") != "/api" || s.Label("code") != "200" {
-		t.Errorf("counter sample 0 = %+v", s)
-	}
-
-	weird := byName["rt_weird"]
-	if got, want := weird.Samples[0].Label("q"), `sl\ash "quote"`+"\nnl"; got != want {
+	weird := byName["rt_weird"].Series[0]
+	if got, want := weird.Labels["q"], `sl\ash "quote"`+"\nnl"; got != want {
 		t.Errorf("escaped label round-trip = %q, want %q", got, want)
 	}
-	if weird.Samples[0].Value != -1.5 {
-		t.Errorf("gauge value = %v, want -1.5", weird.Samples[0].Value)
+	if weird.Value != -1.5 {
+		t.Errorf("gauge value = %v, want -1.5", weird.Value)
 	}
-
-	// The histogram family absorbs its _bucket/_sum/_count samples:
-	// 3 cumulative buckets (two finite + +Inf) + sum + count.
 	hist := byName["rt_latency_seconds"]
-	if hist.Kind != KindHistogram {
-		t.Fatalf("histogram family kind = %v", hist.Kind)
+	if hist.Kind != KindHistogram || len(hist.Series) != 1 {
+		t.Fatalf("histogram family = %+v", hist)
 	}
-	if len(hist.Samples) != 5 {
-		t.Fatalf("histogram samples = %d, want 5: %+v", len(hist.Samples), hist.Samples)
-	}
-	var infBucket, count float64
-	for _, s := range hist.Samples {
-		switch {
-		case s.Name == "rt_latency_seconds_bucket" && s.Label("le") == "+Inf":
-			infBucket = s.Value
-		case s.Name == "rt_latency_seconds_count":
-			count = s.Value
-		}
-		if s.Label("ep") != "search" {
-			t.Errorf("histogram sample %s lost its ep label: %+v", s.Name, s.Labels)
-		}
-	}
-	if infBucket != 3 || count != 3 {
-		t.Errorf("+Inf bucket = %v, count = %v, want 3 and 3", infBucket, count)
+	hs := hist.Series[0]
+	if hs.Labels["ep"] != "search" || hs.Count != 3 || hs.Sum != 7.055 ||
+		!reflect.DeepEqual(hs.Bounds, []float64{0.01, 0.1}) ||
+		!reflect.DeepEqual(hs.Counts, []uint64{1, 1, 1}) {
+		t.Errorf("histogram series = %+v, want ep=search, 3 observations, one per bucket", hs)
 	}
 }
 
@@ -93,61 +85,84 @@ up 1 1712345678000
 
 # TYPE bound gauge
 bound{le="+Inf"} +Inf
+# TYPE h histogram
+h_bucket{le="0.5"} 1 1712345678000
+h_bucket{le="+Inf"} 2 1712345678000
+h_count 2 1712345678000
 `
 	fams, err := ParseExposition(strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]ExpoFamily{}
+	byName := map[string]FamilySnapshot{}
 	for _, f := range fams {
 		byName[f.Name] = f
 	}
-	if up := byName["up"]; up.Kind != KindGauge || len(up.Samples) != 1 || up.Samples[0].Value != 1 {
+	if len(fams) != 3 {
+		t.Errorf("parsed %d families, want up, bound and h: %+v", len(fams), fams)
+	}
+	if up := byName["up"]; up.Kind != KindGauge || len(up.Series) != 1 || up.Series[0].Value != 1 {
 		t.Errorf("untyped sample = %+v", up)
 	}
-	if b := byName["bound"]; !math.IsInf(b.Samples[0].Value, 1) {
-		t.Errorf("+Inf value parsed as %v", b.Samples[0].Value)
+	if b := byName["bound"]; !math.IsInf(b.Series[0].Value, 1) || b.Series[0].Labels["le"] != "+Inf" {
+		t.Errorf("+Inf gauge parsed as %+v", b.Series[0])
+	}
+	if h := byName["h"].Series[0]; h.Count != 2 || !reflect.DeepEqual(h.Counts, []uint64{1, 1}) {
+		t.Errorf("timestamped histogram parsed as %+v", h)
 	}
 }
 
-// TestParseExpositionErrors: malformed sample lines fail loudly with the
-// line number instead of federating wrong numbers.
+// TestParseExpositionErrors: malformed sample lines, and histograms that
+// cannot be reassembled, fail loudly with the line number instead of
+// federating wrong numbers.
 func TestParseExpositionErrors(t *testing.T) {
-	for _, body := range []string{
-		"novalue\n",
-		`x{a="unterminated} 1` + "\n",
-		`x{a=unquoted} 1` + "\n",
-		"x notanumber\n",
+	for _, tc := range []struct{ body, line string }{
+		{"novalue\n", "line 1"},
+		{`x{a="unterminated} 1` + "\n", "line 1"},
+		{`x{a=unquoted} 1` + "\n", "line 1"},
+		{"x notanumber\n", "line 1"},
+		{"# TYPE h histogram\n" + `h_bucket{le="1"} 5` + "\n" + `h_bucket{le="+Inf"} 3` + "\nh_count 3\n",
+			"line 3"}, // decreasing cumulative buckets
+		{"# TYPE h histogram\nh_bucket 5\n", "line 2"}, // a bucket without le
+		{"# TYPE h histogram\n" + `h_bucket{ep="a",le="1"} 2` + "\n" + `h_sum{ep="a"} 1` + "\n" + `h_count{ep="a"} 2` + "\n",
+			"line 2"}, // a series without +Inf
+		{"# TYPE h histogram\n" + `h_bucket{le="2"} 1` + "\n" + `h_bucket{le="1"} 1` + "\n", "line 3"}, // bounds out of order
+		{"# TYPE h histogram\nh 1\n", "line 2"},                                                        // a histogram sample with no suffix
 	} {
-		if _, err := ParseExposition(strings.NewReader(body)); err == nil {
-			t.Errorf("ParseExposition(%q) succeeded, want error", body)
+		_, err := ParseExposition(strings.NewReader(tc.body))
+		if err == nil || !strings.Contains(err.Error(), tc.line+":") {
+			t.Errorf("ParseExposition(%q) = %v, want an error naming %s", tc.body, err, tc.line)
 		}
 	}
 }
 
-// TestWriteSample pins the federated re-emission: extra labels are
-// prepended, escaping matches the writer, and the output re-parses.
-func TestWriteSample(t *testing.T) {
+// TestWriteText pins the writer on hand-built snapshots: labels follow
+// LabelNames, so a leading node= comes first; a label a series does not
+// carry is left out; escaping matches /metrics; an empty help writes no
+// HELP line; a family with no series writes nothing; and the output
+// re-parses.
+func TestWriteText(t *testing.T) {
 	var b strings.Builder
-	WriteSample(&b, ExpoSample{
-		Name:   "m_total",
-		Labels: []ExpoLabel{{"path", "/x"}, {"le", "+Inf"}},
-		Value:  12,
-	}, ExpoLabel{"node", `f"1`})
-	want := `m_total{node="f\"1",path="/x",le="+Inf"} 12` + "\n"
+	WriteText(&b, []FamilySnapshot{
+		{Name: "bare", Kind: KindGauge, Series: []SeriesSnapshot{{Value: 0.5}}},
+		{Name: "m_total", Kind: KindCounter, LabelNames: []string{"node", "path", "code"},
+			Series: []SeriesSnapshot{
+				{Labels: map[string]string{"node": `f"1`, "path": "/x", "code": "200"}, Value: 12},
+				{Labels: map[string]string{"node": "f2", "code": "500"}, Value: 1},
+			}},
+		{Name: "none", Help: "declared, never set", Kind: KindGauge},
+	})
+	want := "# TYPE bare gauge\nbare 0.5\n# TYPE m_total counter\n" +
+		`m_total{node="f\"1",path="/x",code="200"} 12` + "\n" +
+		`m_total{node="f2",code="500"} 1` + "\n"
 	if b.String() != want {
-		t.Errorf("WriteSample = %q, want %q", b.String(), want)
+		t.Errorf("WriteText = %q, want %q", b.String(), want)
 	}
 	fams, err := ParseExposition(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fams[0].Samples[0].Label("node"); got != `f"1` {
+	if got := fams[1].Series[0].Labels["node"]; got != `f"1` {
 		t.Errorf("re-parsed node label = %q", got)
-	}
-	var c strings.Builder
-	WriteSample(&c, ExpoSample{Name: "bare", Value: 0.5})
-	if c.String() != "bare 0.5\n" {
-		t.Errorf("label-free sample = %q", c.String())
 	}
 }

@@ -3,15 +3,17 @@
 // re-serves the union under node labels (/metrics/fleet), per-node RED
 // summaries for the dashboard's Fleet panel, and a breach-triggered
 // pprof capture ring (profile.go) that preserves the evidence of an SLO
-// burn. Everything here builds on the obs exposition parser and plain
-// HTTP — a peer is just a base URL that serves /metrics.
+// burn. Every node's metrics are held as obs.FamilySnapshot: self is
+// read in-process with Registry.Gather, a peer is just a base URL whose
+// /metrics body obs.ParseExposition turns into the same type.
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -28,7 +30,7 @@ var (
 	fleetNodes = obs.Default().Gauge("pdcu_obs_fleet_nodes",
 		"Nodes in the latest fleet scrape (including self).")
 	fleetSeries = obs.Default().Gauge("pdcu_obs_fleet_series",
-		"Samples held by the fleet federator across all nodes.")
+		"Series federated in the last pass across all nodes.")
 )
 
 // Peer is one remote node the scraper federates: its fleet-roster name
@@ -52,13 +54,13 @@ type Options struct {
 	Client *http.Client
 }
 
-// nodeScrape is the latest parse of one node's exposition, plus the
+// nodeScrape is the latest snapshot of one node's metrics, plus the
 // previous pass's totals so Status can report rates as deltas.
 type nodeScrape struct {
 	node     string
 	url      string // empty for self
 	at       time.Time
-	families []obs.ExpoFamily
+	families []obs.FamilySnapshot
 	err      error
 
 	prevAt     time.Time
@@ -136,29 +138,20 @@ func (s *Scraper) Run(ctx context.Context) {
 	}
 }
 
-// ScrapeOnce performs one full pass: the local registry rendered and
-// re-parsed (so self goes through the identical code path as a peer),
-// then every peer's /metrics over HTTP. Peers are scraped sequentially
-// — fleet sizes here are classroom-scale, and one slow peer delaying
-// the pass is more observable than interleaved partial state.
+// ScrapeOnce performs one full pass: the local registry gathered
+// in-process, then every peer's /metrics over HTTP. Peers are scraped
+// sequentially — fleet sizes here are classroom-scale, and one slow peer
+// delaying the pass is more observable than interleaved partial state.
 func (s *Scraper) ScrapeOnce(ctx context.Context) {
 	done := scrapeDuration.With().Timer()
 	defer done()
 
 	type result struct {
 		node, url string
-		fams      []obs.ExpoFamily
+		fams      []obs.FamilySnapshot
 		err       error
 	}
-	var results []result
-
-	var buf bytes.Buffer
-	if err := s.self.WritePrometheus(&buf); err == nil {
-		fams, perr := obs.ParseExposition(&buf)
-		results = append(results, result{node: s.opts.SelfNode, fams: fams, err: perr})
-	} else {
-		results = append(results, result{node: s.opts.SelfNode, err: err})
-	}
+	results := []result{{node: s.opts.SelfNode, fams: s.self.Gather()}}
 
 	var peers []Peer
 	if s.opts.Peers != nil {
@@ -204,9 +197,7 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) {
 		}
 	}
 	for _, ns := range s.nodes {
-		for _, f := range ns.families {
-			series += len(f.Samples)
-		}
+		series += countSeries(ns.families)
 	}
 	n := len(s.nodes)
 	s.mu.Unlock()
@@ -214,7 +205,7 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) {
 	fleetSeries.Set(float64(series))
 }
 
-func (s *Scraper) scrapePeer(ctx context.Context, base string) ([]obs.ExpoFamily, error) {
+func (s *Scraper) scrapePeer(ctx context.Context, base string) ([]obs.FamilySnapshot, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.opts.Client.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
@@ -233,46 +224,38 @@ func (s *Scraper) scrapePeer(ctx context.Context, base string) ([]obs.ExpoFamily
 }
 
 // sumRED folds one node's families into the cumulative RED totals.
-func sumRED(fams []obs.ExpoFamily) redTotals {
-	var t redTotals
-	t.valid = true
-	for _, f := range fams {
-		switch f.Name {
-		case "pdcu_http_requests_total":
-			for _, smp := range f.Samples {
-				t.requests += smp.Value
-				if strings.HasPrefix(smp.Label("code"), "5") {
-					t.errors5xx += smp.Value
-				}
-			}
-		case "pdcu_http_request_duration_seconds":
-			for _, smp := range f.Samples {
-				switch smp.Name {
-				case "pdcu_http_request_duration_seconds_sum":
-					t.durSum += smp.Value
-				case "pdcu_http_request_duration_seconds_count":
-					t.durCount += smp.Value
-				}
-			}
+func sumRED(fams []obs.FamilySnapshot) redTotals {
+	t := redTotals{valid: true}
+	for _, smp := range seriesOf(fams, "pdcu_http_requests_total") {
+		t.requests += smp.Value
+		if strings.HasPrefix(smp.Labels["code"], "5") {
+			t.errors5xx += smp.Value
 		}
+	}
+	for _, smp := range seriesOf(fams, "pdcu_http_request_duration_seconds") {
+		t.durSum += smp.Sum
+		t.durCount += float64(smp.Count)
 	}
 	return t
 }
 
-// gaugeValue scans one node's parse for a gauge/counter family and
-// returns the first (or label-matched) sample value.
-func gaugeValue(fams []obs.ExpoFamily, family string, match func(obs.ExpoSample) bool) (float64, bool) {
+// seriesOf returns the named family's series in one node's snapshot.
+func seriesOf(fams []obs.FamilySnapshot, name string) []obs.SeriesSnapshot {
 	for _, f := range fams {
-		if f.Name != family {
-			continue
-		}
-		for _, smp := range f.Samples {
-			if match == nil || match(smp) {
-				return smp.Value, true
-			}
+		if f.Name == name {
+			return f.Series
 		}
 	}
-	return 0, false
+	return nil
+}
+
+// countSeries counts the series one node's snapshot holds.
+func countSeries(fams []obs.FamilySnapshot) int {
+	n := 0
+	for _, f := range fams {
+		n += len(f.Series)
+	}
+	return n
 }
 
 // Status summarizes every scraped node for the Fleet panel, self first
@@ -293,41 +276,27 @@ func (s *Scraper) Status() []NodeStatus {
 		if !ns.at.IsZero() {
 			st.AgeSecs = now.Sub(ns.at).Seconds()
 		}
-		for _, f := range ns.families {
-			st.Series += len(f.Samples)
-		}
+		st.Series = countSeries(ns.families)
 		if ns.prev.valid && ns.curr.valid && ns.at.After(ns.prevAt) {
 			secs := ns.at.Sub(ns.prevAt).Seconds()
-			dReq := ns.curr.requests - ns.prev.requests
-			dErr := ns.curr.errors5xx - ns.prev.errors5xx
-			dSum := ns.curr.durSum - ns.prev.durSum
-			dCnt := ns.curr.durCount - ns.prev.durCount
-			if dReq >= 0 && secs > 0 {
-				st.ReqRate = dReq / secs
-			}
-			if dErr >= 0 && secs > 0 {
-				st.ErrRate = dErr / secs
-			}
-			if dCnt > 0 && dSum >= 0 {
-				st.MeanLatency = dSum / dCnt
+			st.ReqRate = obs.CounterDelta(ns.prev.requests, ns.curr.requests) / secs
+			st.ErrRate = obs.CounterDelta(ns.prev.errors5xx, ns.curr.errors5xx) / secs
+			if dCnt := obs.CounterDelta(ns.prev.durCount, ns.curr.durCount); dCnt > 0 {
+				st.MeanLatency = obs.CounterDelta(ns.prev.durSum, ns.curr.durSum) / dCnt
 			}
 		}
-		st.Lag, _ = gaugeValue(ns.families, "pdcu_replica_lag", nil)
+		if lag := seriesOf(ns.families, "pdcu_replica_lag"); len(lag) > 0 {
+			st.Lag = lag[0].Value
+		}
 		st.SLOBudget = -1
-		for _, f := range ns.families {
-			switch f.Name {
-			case "pdcu_slo_budget_remaining_ratio":
-				for _, smp := range f.Samples {
-					if st.SLOBudget < 0 || smp.Value < st.SLOBudget {
-						st.SLOBudget = smp.Value
-					}
-				}
-			case "pdcu_slo_breached":
-				for _, smp := range f.Samples {
-					if smp.Value >= 1 {
-						st.Breached = true
-					}
-				}
+		for _, smp := range seriesOf(ns.families, "pdcu_slo_budget_remaining_ratio") {
+			if st.SLOBudget < 0 || smp.Value < st.SLOBudget {
+				st.SLOBudget = smp.Value
+			}
+		}
+		for _, smp := range seriesOf(ns.families, "pdcu_slo_breached") {
+			if smp.Value >= 1 {
+				st.Breached = true
 			}
 		}
 		out = append(out, st)
@@ -342,15 +311,15 @@ func (s *Scraper) Status() []NodeStatus {
 	return out
 }
 
-// WriteFleet renders the federated exposition: every scraped family,
-// grouped by family name, each sample re-labeled with node= first. The
-// output is itself valid exposition format (ParseExposition reads it
-// back), so a real Prometheus can scrape the whole fleet off one
-// endpoint.
+// WriteFleet renders the federated exposition: every node's families
+// merged by name, each series labeled with node= first, through the same
+// writer as /metrics. The output is itself valid exposition format
+// (ParseExposition reads it back), so a real Prometheus can scrape the
+// whole fleet off one endpoint.
 func (s *Scraper) WriteFleet(b *strings.Builder) {
 	type nodeFams struct {
 		node string
-		fams []obs.ExpoFamily
+		fams []obs.FamilySnapshot
 	}
 	s.mu.Lock()
 	snap := make([]nodeFams, 0, len(s.nodes))
@@ -360,38 +329,36 @@ func (s *Scraper) WriteFleet(b *strings.Builder) {
 	s.mu.Unlock()
 	sort.Slice(snap, func(i, j int) bool { return snap[i].node < snap[j].node })
 
-	type famMeta struct {
-		help string
-		kind obs.Kind
-	}
-	metas := map[string]famMeta{}
+	merged := map[string]*obs.FamilySnapshot{}
 	var names []string
 	for _, nf := range snap {
 		for _, f := range nf.fams {
-			if _, ok := metas[f.Name]; !ok {
-				metas[f.Name] = famMeta{f.Help, f.Kind}
+			m := merged[f.Name]
+			if m == nil {
+				m = &obs.FamilySnapshot{Name: f.Name, Help: f.Help, Kind: f.Kind, LabelNames: []string{"node"}}
+				merged[f.Name] = m
 				names = append(names, f.Name)
+			}
+			for _, l := range f.LabelNames {
+				if !slices.Contains(m.LabelNames, l) {
+					m.LabelNames = append(m.LabelNames, l)
+				}
+			}
+			for _, smp := range f.Series {
+				labels := make(map[string]string, len(smp.Labels)+1)
+				maps.Copy(labels, smp.Labels)
+				labels["node"] = nf.node
+				smp.Labels = labels
+				m.Series = append(m.Series, smp)
 			}
 		}
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		m := metas[name]
-		if m.help != "" {
-			fmt.Fprintf(b, "# HELP %s %s\n", name, m.help)
-		}
-		fmt.Fprintf(b, "# TYPE %s %s\n", name, m.kind)
-		for _, nf := range snap {
-			for _, f := range nf.fams {
-				if f.Name != name {
-					continue
-				}
-				for _, smp := range f.Samples {
-					obs.WriteSample(b, smp, obs.ExpoLabel{Name: "node", Value: nf.node})
-				}
-			}
-		}
+	fams := make([]obs.FamilySnapshot, len(names))
+	for i, name := range names {
+		fams[i] = *merged[name]
 	}
+	obs.WriteText(b, fams)
 }
 
 // Handler serves /metrics/fleet. A cold cache (no scrape yet) performs

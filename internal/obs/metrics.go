@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,28 +316,22 @@ func (h *HistogramChild) BucketCounts() []uint64 {
 	return out
 }
 
-// FamilyInfo describes one registered metric family; the rolling
-// time-series aggregator uses it to walk the registry generically.
-type FamilyInfo struct {
+// FamilySnapshot is a point-in-time copy of one metric family: the one
+// sample model that /metrics, /metrics/fleet, the rollup and the fleet
+// digest all read. Registry.Gather produces it for the local process and
+// ParseExposition for a remote peer.
+type FamilySnapshot struct {
 	Name string
-	Kind Kind
 	Help string
+	Kind Kind
+	// LabelNames are the series label names in declaration order (a
+	// histogram's le is not one of them); the text format writes labels
+	// in this order.
+	LabelNames []string
+	Series     []SeriesSnapshot
 }
 
-// Families lists every registered family, sorted by name.
-func (r *Registry) Families() []FamilyInfo {
-	r.mu.RLock()
-	out := make([]FamilyInfo, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, FamilyInfo{Name: f.name, Kind: f.kind, Help: f.help})
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// SeriesSnapshot is a point-in-time copy of one labeled series, used by
-// the phase-timing report and by tests.
+// SeriesSnapshot is a point-in-time copy of one labeled series.
 type SeriesSnapshot struct {
 	Labels map[string]string
 	Value  float64 // counter / gauge value
@@ -346,6 +339,24 @@ type SeriesSnapshot struct {
 	Count  uint64  // histogram observation count
 	Bounds []float64
 	Counts []uint64 // non-cumulative, aligned with Bounds plus +Inf
+}
+
+// Gather returns a copy of every registered family, sorted by name,
+// including families that have no series yet. Each family's series are
+// sorted by label values.
+func (r *Registry) Gather() []FamilySnapshot {
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	out := make([]FamilySnapshot, len(fams))
+	for i, f := range fams {
+		out[i] = f.snapshot()
+	}
+	return out
 }
 
 // Snapshot returns a copy of every series of the named family, or nil if
@@ -357,9 +368,20 @@ func (r *Registry) Snapshot(name string) []SeriesSnapshot {
 	if !ok {
 		return nil
 	}
+	return f.snapshot().Series
+}
+
+func (f *family) snapshot() FamilySnapshot {
 	f.mu.RLock()
+	defer f.mu.RUnlock()
 	ordered := f.sortedSeriesLocked()
-	out := make([]SeriesSnapshot, 0, len(ordered))
+	fs := FamilySnapshot{
+		Name:       f.name,
+		Help:       f.help,
+		Kind:       f.kind,
+		LabelNames: append([]string(nil), f.labels...),
+		Series:     make([]SeriesSnapshot, 0, len(ordered)),
+	}
 	for _, s := range ordered {
 		snap := SeriesSnapshot{Labels: make(map[string]string, len(f.labels))}
 		for i, lbl := range f.labels {
@@ -377,63 +399,9 @@ func (r *Registry) Snapshot(name string) []SeriesSnapshot {
 		default:
 			snap.Value = math.Float64frombits(s.valBits.Load())
 		}
-		out = append(out, snap)
+		fs.Series = append(fs.Series, snap)
 	}
-	f.mu.RUnlock()
-	return out
-}
-
-// WritePrometheus writes every family in the Prometheus text exposition
-// format (version 0.0.4), sorted by family name then label values, so
-// output is deterministic and golden-testable.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
-	}
-	r.mu.RUnlock()
-
-	var b strings.Builder
-	for _, f := range fams {
-		f.expose(&b)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func (f *family) expose(b *strings.Builder) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if len(f.series) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
-	for _, s := range f.sortedSeriesLocked() {
-		switch f.kind {
-		case KindHistogram:
-			cum := uint64(0)
-			for i, bound := range f.buckets {
-				cum += s.bucketN[i].Load()
-				fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n",
-					f.name, labelPrefix(f.labels, s.labelValues), formatFloat(bound), cum)
-			}
-			cum += s.bucketN[len(f.buckets)].Load()
-			fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", f.name, labelPrefix(f.labels, s.labelValues), cum)
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labelBlock(f.labels, s.labelValues),
-				formatFloat(math.Float64frombits(s.sumBits.Load())))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelBlock(f.labels, s.labelValues), s.count.Load())
-		default:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelBlock(f.labels, s.labelValues),
-				formatFloat(math.Float64frombits(s.valBits.Load())))
-		}
-	}
+	return fs
 }
 
 // sortedSeriesLocked returns the family's series ordered by label values
@@ -450,47 +418,14 @@ func (f *family) sortedSeriesLocked() []*series {
 	return out
 }
 
-// labelBlock renders {k="v",...} or the empty string for label-free series.
-func labelBlock(names, values []string) string {
-	if len(names) == 0 {
-		return ""
-	}
-	return "{" + strings.TrimSuffix(labelPrefix(names, values), ",") + "}"
-}
-
-// labelPrefix renders `k="v",` pairs, used both standalone and before an
-// le="..." bucket label.
-func labelPrefix(names, values []string) string {
-	if len(names) == 0 {
-		return ""
-	}
+// WritePrometheus writes every family in the Prometheus text exposition
+// format (version 0.0.4), sorted by family name then label values, so
+// output is deterministic and golden-testable.
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	for i, n := range names {
-		b.WriteString(n)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteString(`",`)
-	}
-	return b.String()
-}
-
-// escapeLabel applies the exposition-format label escapes: backslash,
-// double quote, and newline.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
-}
-
-func formatFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	WriteText(&b, r.Gather())
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Handler returns an http.Handler serving the registry in text

@@ -36,7 +36,8 @@ type Rollup struct {
 // aligned with Rollup.times; Counts and buckets are non-nil only for
 // histograms.
 type rollSeries struct {
-	info      FamilyInfo
+	name      string
+	kind      Kind
 	labels    map[string]string
 	values    []float64
 	counts    []float64
@@ -46,7 +47,6 @@ type rollSeries struct {
 	prevSum   float64     // histogram: last absolute sum
 	prevCount float64     // histogram: last absolute count
 	prevBkts  []uint64    // histogram: last absolute per-bucket counts
-	seen      bool
 }
 
 // NewRollup aggregates reg into windows of the given interval, keeping
@@ -103,55 +103,44 @@ func (ru *Rollup) Collect() {
 	}
 
 	now := time.Now()
-	fams := ru.reg.Families()
+	fams := ru.reg.Gather()
 
 	ru.mu.Lock()
 	defer ru.mu.Unlock()
 	ru.times = append(ru.times, now)
 	touched := make(map[string]bool, len(ru.series))
 
-	for _, fi := range fams {
-		for _, snap := range ru.reg.Snapshot(fi.Name) {
-			key := seriesKey(fi.Name, snap.Labels)
+	for _, f := range fams {
+		for _, snap := range f.Series {
+			key := seriesKey(f.Name, snap.Labels)
 			rs := ru.series[key]
 			if rs == nil {
-				rs = &rollSeries{info: fi, labels: snap.Labels}
+				rs = &rollSeries{name: f.Name, kind: f.Kind, labels: snap.Labels}
 				// Backfill the windows before this series existed.
 				rs.values = nanSlice(len(ru.times) - 1)
-				if fi.Kind == KindHistogram {
+				if f.Kind == KindHistogram {
 					rs.counts = nanSlice(len(ru.times) - 1)
 				}
 				ru.series[key] = rs
 			}
 			touched[key] = true
-			switch fi.Kind {
+			switch f.Kind {
 			case KindCounter:
-				delta := snap.Value - rs.prevValue
-				if !rs.seen || delta < 0 {
-					// First sight: the series was created during this
-					// window, so its absolute value is the window delta
-					// (counters start at zero). A negative delta means
-					// the underlying counter reset (a registry swap or
-					// process restart behind a shared rollup); treat the
-					// post-reset absolute the same way rather than
-					// recording a nonsensical negative rate.
-					delta = snap.Value
-				}
+				// First sight counts the series' whole value: it was
+				// created during this window and counters start at zero.
+				rs.values = append(rs.values, CounterDelta(rs.prevValue, snap.Value))
 				rs.prevValue = snap.Value
-				rs.values = append(rs.values, delta)
 			case KindGauge:
 				rs.values = append(rs.values, snap.Value)
 			case KindHistogram:
-				dSum, dCount := snap.Sum-rs.prevSum, float64(snap.Count)-rs.prevCount
-				if !rs.seen || dCount < 0 || dSum < 0 {
-					// Same reset rule as counters: histogram sum/count
-					// are monotonic, so going backwards means a reset.
-					dSum, dCount = snap.Sum, float64(snap.Count)
-				}
+				dSum := CounterDelta(rs.prevSum, snap.Sum)
+				dCount := CounterDelta(rs.prevCount, float64(snap.Count))
 				rs.prevSum, rs.prevCount = snap.Sum, float64(snap.Count)
 				rs.values = append(rs.values, dSum)
 				rs.counts = append(rs.counts, dCount)
 				rs.bounds = snap.Bounds
+				// A bucket row resets as a whole: on first sight (no
+				// previous row) or when any bucket went backwards.
 				row := make([]float64, len(snap.Counts))
 				reset := len(rs.prevBkts) != len(snap.Counts)
 				if !reset {
@@ -163,7 +152,7 @@ func (ru *Rollup) Collect() {
 					}
 				}
 				for i, c := range snap.Counts {
-					if !rs.seen || reset {
+					if reset {
 						row[i] = float64(c)
 					} else {
 						row[i] = float64(c - rs.prevBkts[i])
@@ -172,7 +161,6 @@ func (ru *Rollup) Collect() {
 				rs.prevBkts = append(rs.prevBkts[:0], snap.Counts...)
 				rs.buckets = append(rs.buckets, row)
 			}
-			rs.seen = true
 		}
 	}
 	// Series that vanished (registry families never unregister, but be
@@ -228,12 +216,12 @@ func (ru *Rollup) Series(name string) []TimeSeries {
 	defer ru.mu.Unlock()
 	var out []TimeSeries
 	for _, rs := range ru.series {
-		if rs.info.Name != name {
+		if rs.name != name {
 			continue
 		}
 		ts := TimeSeries{
-			Name:   rs.info.Name,
-			Kind:   rs.info.Kind,
+			Name:   rs.name,
+			Kind:   rs.kind,
 			Labels: rs.labels,
 			Values: zipPoints(ru.times, rs.values),
 		}
@@ -281,7 +269,7 @@ func (ru *Rollup) HistOver(name string, n int) (HistSum, bool) {
 	var out HistSum
 	found := false
 	for _, rs := range ru.series {
-		if rs.info.Name != name || rs.info.Kind != KindHistogram {
+		if rs.name != name || rs.kind != KindHistogram {
 			continue
 		}
 		lo := 0
@@ -377,7 +365,7 @@ func (ru *Rollup) CounterOver(name string, n int, match func(map[string]string) 
 	var sum float64
 	found := false
 	for _, rs := range ru.series {
-		if rs.info.Name != name || rs.info.Kind != KindCounter {
+		if rs.name != name || rs.kind != KindCounter {
 			continue
 		}
 		if match != nil && !match(rs.labels) {
@@ -395,6 +383,18 @@ func (ru *Rollup) CounterOver(name string, n int, match func(map[string]string) 
 		}
 	}
 	return sum, found
+}
+
+// CounterDelta is how much a cumulative total grew from prev to cur. A
+// total that went backwards was reset (a process restart, or a registry
+// swap behind a shared reader), so what it counted since the reset, cur,
+// is the growth. The rollup's windows and the fleet digest's rates both
+// use this one rule.
+func CounterDelta(prev, cur float64) float64 {
+	if cur < prev {
+		return cur
+	}
+	return cur - prev
 }
 
 func seriesKey(name string, labels map[string]string) string {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -148,17 +149,23 @@ func TestRuntimeCollector(t *testing.T) {
 	}
 }
 
-func TestRegistryFamilies(t *testing.T) {
+// TestRegistryGather: every registered family, sorted by name, with its
+// kind, declared label names, and series — including families that have
+// no series yet.
+func TestRegistryGather(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("t_b_total", "b")
+	reg.Counter("t_b_total", "b", "path", "code").With("/", "200").Inc()
 	reg.Gauge("t_a", "a")
 	reg.Histogram("t_c_seconds", "c", nil)
-	fams := reg.Families()
+	fams := reg.Gather()
 	if len(fams) != 3 {
 		t.Fatalf("families = %+v", fams)
 	}
-	if fams[0].Name != "t_a" || fams[0].Kind != KindGauge {
-		t.Errorf("families not sorted by name: %+v", fams)
+	if fams[0].Name != "t_a" || fams[0].Kind != KindGauge || len(fams[0].Series) != 0 {
+		t.Errorf("families not sorted by name, or empty family lost: %+v", fams)
+	}
+	if b := fams[1]; b.Help != "b" || !slices.Equal(b.LabelNames, []string{"path", "code"}) || len(b.Series) != 1 {
+		t.Errorf("counter family = %+v", b)
 	}
 	if fams[2].Kind != KindHistogram {
 		t.Errorf("histogram kind lost: %+v", fams[2])
