@@ -63,11 +63,11 @@ bench-index:
 bench-index-record:
 	PDCU_BENCH_SEARCH_RECORD=1 $(GO) test -run=TestSearchBenchGate -count=1 -v .
 
-# Flake hunt: the packages with timers, watchers, replication and live
-# servers, twenty times over in shuffled order under the race detector.
-# A test that fails here once in twenty fails tier-1 runs too. Slow, so
-# not part of check.
-STRESS_PKGS = ./internal/watch ./internal/engine ./internal/replica \
+# Flake hunt: the packages with timers, watchers, replication, live
+# servers and process-wide metric state, twenty times over in shuffled
+# order under the race detector. A test that fails here once in twenty
+# fails tier-1 runs too. Slow, so not part of check.
+STRESS_PKGS = ./internal/watch ./internal/engine ./internal/replica ./internal/obs \
 	./internal/loadgen ./internal/obs/fleet ./cmd/pdcu
 
 stress:

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pdcunplugged"
+	"pdcunplugged/internal/curation"
 	"pdcunplugged/internal/query"
 	"pdcunplugged/internal/search"
 )
@@ -97,6 +98,34 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ix := search.Build(acts); ix.Len() != len(acts) {
+			b.Fatal("index lost documents")
+		}
+	}
+}
+
+// BenchmarkIndexRebuildTouchOne is the index half of a one-file publish:
+// a memoized builder alternating between the corpus and a copy with one
+// activity edited, so every build tokenizes exactly one document and
+// assembles the index from the rest of the memo.
+func BenchmarkIndexRebuildTouchOne(b *testing.B) {
+	files := curation.Files()
+	touched := curation.Files()
+	touched["findsmallestcard"] += "\n- Index rebuild benchmark citation.\n"
+	var repos [2]*pdcunplugged.Repository
+	for i, fs := range []map[string]string{files, touched} {
+		repo, err := pdcunplugged.Load(fs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		repos[i] = repo
+	}
+	ib := search.NewBuilder()
+	ib.Build(repos[1].All(), repos[1].ActivityFingerprint)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		repo := repos[i%2]
+		if ix := ib.Build(repo.All(), repo.ActivityFingerprint); ix.Len() != repo.Len() {
 			b.Fatal("index lost documents")
 		}
 	}

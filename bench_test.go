@@ -466,7 +466,8 @@ func BenchmarkSiteBuildParallel(b *testing.B) {
 
 // BenchmarkSiteRebuild contrasts a cold build with the two incremental
 // paths of a long-lived builder: a no-op rebuild (every job a cache hit)
-// and a rebuild after touching one activity (10 of 85 jobs re-render).
+// and a rebuild after touching one activity (27 of 204 jobs re-render:
+// its two pages, its 18 term pages, and 7 repository-scoped jobs).
 func BenchmarkSiteRebuild(b *testing.B) {
 	files := curation.Files()
 	touched := curation.Files()

@@ -16,6 +16,7 @@ import (
 	"pdcunplugged"
 	"pdcunplugged/internal/corpus"
 	"pdcunplugged/internal/engine"
+	"pdcunplugged/internal/obs"
 	"pdcunplugged/internal/query"
 )
 
@@ -172,7 +173,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`pdcu_http_requests_total{path="/",code="200"}`,
 		`pdcu_http_requests_total{path="/views",code="200"}`,
-		`pdcu_http_requests_total{path="/no",code="404"}`,
+		`pdcu_http_requests_total{path="` + obs.NotFoundRoute + `",code="404"}`,
 		"# TYPE pdcu_http_request_duration_seconds histogram",
 		`pdcu_phase_seconds_count{phase="site.build"}`,
 		"# TYPE pdcu_engine_generation gauge",

@@ -11,6 +11,7 @@ import (
 	"io"
 	"io/fs"
 	"path"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -179,17 +180,33 @@ func (r *Repository) ActivityFingerprint(slug string) string {
 }
 
 // fingerprints computes every activity fingerprint and the repository
-// fingerprint over them, once.
+// fingerprint over them, once. Rendering and hashing the activities is
+// the bulk of the work and independent per activity, so it runs on
+// GOMAXPROCS goroutines, each taking every GOMAXPROCS-th slug and
+// writing its results by slug index; the repository hash is then folded
+// serially in slug order.
 func (r *Repository) fingerprints() {
 	r.fpOnce.Do(func() {
+		fps := make([]string, len(r.order))
+		workers := min(runtime.GOMAXPROCS(0), len(fps))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(fps); i += workers {
+					fps[i] = r.activities[r.order[i]].Fingerprint()
+				}
+			}()
+		}
+		wg.Wait()
 		r.actFP = make(map[string]string, len(r.order))
 		h := sha256.New()
-		for _, slug := range r.order {
-			fp := r.activities[slug].Fingerprint()
-			r.actFP[slug] = fp
+		for i, slug := range r.order {
+			r.actFP[slug] = fps[i]
 			io.WriteString(h, slug)
 			h.Write([]byte{0})
-			io.WriteString(h, fp)
+			io.WriteString(h, fps[i])
 			h.Write([]byte{0})
 		}
 		r.fp = hex.EncodeToString(h.Sum(nil))

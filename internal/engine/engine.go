@@ -131,6 +131,7 @@ type Outcome struct {
 type Engine struct {
 	cfg     Config
 	builder *site.Builder
+	indexer *search.Builder
 	tracer  *trace.Tracer
 	started time.Time
 
@@ -185,6 +186,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		builder: site.NewBuilder(site.Options{Workers: cfg.Jobs}),
+		indexer: search.NewBuilder(),
 		tracer: trace.New(trace.Options{
 			SampleRate:    cfg.TraceSample,
 			SlowThreshold: cfg.TraceSlow,
@@ -313,7 +315,7 @@ func (e *Engine) rebuildLocked(ctx context.Context) (gen *Generation, err error)
 	if err != nil {
 		return nil, err
 	}
-	snap := query.NewSnapshotContext(ctx, repo)
+	snap := query.NewSnapshotContext(ctx, repo, e.indexer)
 	gen = &Generation{
 		Seq:         e.seq.Add(1),
 		Repo:        repo,

@@ -193,7 +193,10 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 			}
 			m.inflight.With().Dec()
 			d := time.Since(start)
-			route := RouteLabel(r.URL.Path)
+			route := NotFoundRoute
+			if rec.code != http.StatusNotFound {
+				route = RouteLabel(r.URL.Path)
+			}
 			var tid trace.TraceID
 			if sp != nil {
 				sp.SetAttr("code", strconv3(rec.code))
@@ -247,18 +250,23 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 	})
 }
 
+// NotFoundRoute is the path label of every 404 response. Unknown URLs
+// are unbounded, so labelling them by their first segment would let any
+// client mint new series; all of them share this one label instead.
+const NotFoundRoute = "(not found)"
+
 // RouteLabel collapses a request path to its first segment ("/",
 // "/activities", "/views", ...) so per-activity pages do not explode
-// label cardinality on the requests metric.
+// label cardinality on the requests metric. The label is a substring of
+// p, so computing it allocates nothing.
 func RouteLabel(p string) string {
-	p = strings.TrimPrefix(p, "/")
-	if p == "" {
-		return "/"
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
 	}
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		p = p[:i]
+	if i := strings.IndexByte(p[1:], '/'); i >= 0 {
+		p = p[:i+1]
 	}
-	return "/" + p
+	return p
 }
 
 // strconv3 formats the common three-digit HTTP codes without an

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -157,6 +158,66 @@ func TestRouteLabel(t *testing.T) {
 		if got := RouteLabel(in); got != want {
 			t.Errorf("RouteLabel(%q) = %q, want %q", in, got, want)
 		}
+	}
+	// Labelling runs on every served request: it must not allocate.
+	if allocs := testing.AllocsPerRun(100, func() { RouteLabel("/activities/x/") }); allocs != 0 {
+		t.Errorf("RouteLabel allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestNotFoundSharesOneSeries: unknown URLs cannot mint label series.
+// Fifty distinct 404s land in one series per HTTP metric family, under
+// NotFoundRoute, and no requested path leaks into /metrics.
+func TestNotFoundSharesOneSeries(t *testing.T) {
+	SetLogger(NewLogger(io.Discard)) // every 404 is access-logged
+	defer SetLogger(nil)
+	reg := NewRegistry()
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/", NewHTTPMetrics(reg).WithTracer(nil).Wrap(http.NotFoundHandler()))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	for i := 1; i <= 50; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/nope-%d", srv.URL, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("/nope-%d = %d, want 404", i, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(data)
+	if strings.Contains(body, "nope") {
+		t.Errorf("a requested path leaked into a label:\n%s", body)
+	}
+	for _, family := range []string{
+		"pdcu_http_requests_total{",
+		"pdcu_http_request_duration_seconds_count{",
+		"pdcu_http_response_bytes_total{",
+	} {
+		var series []string
+		for _, line := range strings.Split(body, "\n") {
+			if strings.HasPrefix(line, family) {
+				series = append(series, line)
+			}
+		}
+		if len(series) != 1 || !strings.Contains(series[0], `path="`+NotFoundRoute+`"`) {
+			t.Errorf("%s series = %q, want one under path=%q", family, series, NotFoundRoute)
+		}
+	}
+	if want := `pdcu_http_requests_total{path="` + NotFoundRoute + `",code="404"} 50`; !strings.Contains(body, want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 

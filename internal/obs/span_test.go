@@ -8,6 +8,24 @@ import (
 	"time"
 )
 
+// phaseTiming reads one phase's accumulated timing from the
+// process-wide registry; zero when the phase never ran. Tests compare
+// readings before and after they record, so repeated runs (-count=N)
+// in one process do not read each other's observations.
+func phaseTiming(phase string) PhaseTiming {
+	for _, pt := range PhaseTimings() {
+		if pt.Phase == phase {
+			return pt
+		}
+	}
+	return PhaseTiming{Phase: phase}
+}
+
+// since returns what was recorded for the phase after the reading before.
+func (pt PhaseTiming) since(before PhaseTiming) PhaseTiming {
+	return PhaseTiming{Phase: pt.Phase, Count: pt.Count - before.Count, Total: pt.Total - before.Total}
+}
+
 func TestSpanRecordsAndLogs(t *testing.T) {
 	var buf bytes.Buffer
 	old := Logger()
@@ -18,6 +36,7 @@ func TestSpanRecordsAndLogs(t *testing.T) {
 		SetLevel(slog.LevelInfo)
 	}()
 
+	before := phaseTiming("test.span.records")
 	sp := StartSpan("test.span.records")
 	time.Sleep(time.Millisecond)
 	d := sp.End()
@@ -31,20 +50,12 @@ func TestSpanRecordsAndLogs(t *testing.T) {
 		t.Errorf("debug log missing span: %q", buf.String())
 	}
 
-	var found bool
-	for _, pt := range PhaseTimings() {
-		if pt.Phase == "test.span.records" {
-			found = true
-			if pt.Count != 1 || pt.Total <= 0 {
-				t.Errorf("timing = %+v", pt)
-			}
-			if pt.Mean() != pt.Total {
-				t.Errorf("mean = %v, want %v for a single span", pt.Mean(), pt.Total)
-			}
-		}
+	pt := phaseTiming("test.span.records").since(before)
+	if pt.Count != 1 || pt.Total != d {
+		t.Errorf("timing = %+v, want one span of %v", pt, d)
 	}
-	if !found {
-		t.Error("span not present in PhaseTimings")
+	if pt.Mean() != pt.Total {
+		t.Errorf("mean = %v, want %v for a single span", pt.Mean(), pt.Total)
 	}
 }
 
@@ -58,23 +69,19 @@ func TestObservePhaseSilent(t *testing.T) {
 		SetLevel(slog.LevelInfo)
 	}()
 
+	before := phaseTiming("test.phase.silent")
 	ObservePhase("test.phase.silent", 5*time.Millisecond)
 	ObservePhase("test.phase.silent", 5*time.Millisecond)
 	if strings.Contains(buf.String(), "test.phase.silent") {
 		t.Error("ObservePhase must not log")
 	}
-	for _, pt := range PhaseTimings() {
-		if pt.Phase == "test.phase.silent" {
-			if pt.Count != 2 {
-				t.Errorf("count = %d, want 2", pt.Count)
-			}
-			if got := pt.Total.Round(time.Millisecond); got != 10*time.Millisecond {
-				t.Errorf("total = %v, want ~10ms", got)
-			}
-			return
-		}
+	pt := phaseTiming("test.phase.silent").since(before)
+	if pt.Count != 2 {
+		t.Errorf("count = %d, want 2", pt.Count)
 	}
-	t.Error("phase not recorded")
+	if pt.Total != 10*time.Millisecond {
+		t.Errorf("total = %v, want 10ms", pt.Total)
+	}
 }
 
 func TestTimeHelper(t *testing.T) {
@@ -107,6 +114,7 @@ func TestPhaseTimingExactTotal(t *testing.T) {
 	const phase = "test.span.exact"
 	d := 100 * time.Millisecond // 0.1s: inexact as a float64 of seconds
 	const n = 10
+	before := phaseTiming(phase)
 	for i := 0; i < n; i++ {
 		ObservePhase(phase, d)
 	}
@@ -119,20 +127,14 @@ func TestPhaseTimingExactTotal(t *testing.T) {
 	if time.Duration(fsum*float64(time.Second)) == n*d {
 		t.Log("float round-trip happened to be exact; exactness check below still applies")
 	}
-	for _, pt := range PhaseTimings() {
-		if pt.Phase != phase {
-			continue
-		}
-		if pt.Count != n {
-			t.Errorf("count = %d, want %d", pt.Count, n)
-		}
-		if pt.Total != n*d {
-			t.Errorf("total = %v (%d ns), want exactly %v", pt.Total, pt.Total, n*d)
-		}
-		if pt.Mean() != d {
-			t.Errorf("mean = %v, want exactly %v", pt.Mean(), d)
-		}
-		return
+	pt := phaseTiming(phase).since(before)
+	if pt.Count != n {
+		t.Errorf("count = %d, want %d", pt.Count, n)
 	}
-	t.Fatal("phase not reported")
+	if pt.Total != n*d {
+		t.Errorf("total = %v (%d ns), want exactly %v", pt.Total, pt.Total, n*d)
+	}
+	if pt.Mean() != d {
+		t.Errorf("mean = %v, want exactly %v", pt.Mean(), d)
+	}
 }

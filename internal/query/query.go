@@ -101,19 +101,21 @@ type Snapshot struct {
 }
 
 // NewSnapshot derives a snapshot from a repository, building its search
-// index.
+// index from scratch.
 func NewSnapshot(repo *core.Repository) *Snapshot {
-	return NewSnapshotContext(context.Background(), repo)
+	return NewSnapshotContext(context.Background(), repo, nil)
 }
 
-// NewSnapshotContext is NewSnapshot with trace propagation: when ctx
-// carries a span (a -watch rebuild trace), the index build appears as a
-// "search.build_index" child span.
-func NewSnapshotContext(ctx context.Context, repo *core.Repository) *Snapshot {
+// NewSnapshotContext is NewSnapshot with trace propagation and an index
+// builder: when ctx carries a span (a -watch rebuild trace), the index
+// build appears as a "search.build_index" child span, and ib reuses the
+// term vectors of activities whose fingerprints its previous build saw
+// (nil builds from scratch).
+func NewSnapshotContext(ctx context.Context, repo *core.Repository, ib *search.Builder) *Snapshot {
 	acts := repo.All()
 	_, sp := trace.StartSpan(ctx, "search.build_index")
 	sp.SetAttr("activities", strconv.Itoa(len(acts)))
-	ix := search.Build(acts)
+	ix := ib.Build(acts, repo.ActivityFingerprint)
 	sp.End()
 	return &Snapshot{
 		Repo:       repo,

@@ -16,6 +16,10 @@
 //     touched-list reset, and a bounded heap for top-k selection, so a
 //     steady-state query allocates only the hits it returns.
 //
+// An index is assembled from per-document weighted term vectors. A
+// long-lived Builder memoizes those vectors by content key across
+// builds, so a rebuild after a one-file edit tokenizes one document.
+//
 // Doc IDs are assigned in slug order, which makes doc-ID order the
 // repository's canonical ordering: tie-breaks and bitset iteration need
 // no string comparisons. Ranking is unchanged from engine search/2 —
@@ -28,6 +32,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unicode"
@@ -165,23 +170,112 @@ var (
 		"Wall-clock duration of the most recent search index build.")
 )
 
-// docPosting is a build-time (term ID, weighted tf) pair for one document.
-type docPosting struct {
-	tid uint32
-	tf  float32
-}
-
-// buildCalls counts Build invocations process-wide. Cold-start tests
-// assert that adopting a decoded snapshot never re-inverts the corpus.
+// buildCalls counts index builds process-wide, memoized or not.
+// Cold-start tests assert that adopting a decoded snapshot never
+// re-inverts the corpus.
 var buildCalls atomic.Int64
 
-// BuildCalls returns how many times Build has run in this process.
+// BuildCalls returns how many indexes have been built in this process.
 func BuildCalls() int64 { return buildCalls.Load() }
 
-// Build indexes the given activities: tokenize and weigh every field,
-// intern the vocabulary, lay the posting lists out as slabs in doc-ID
-// order, and precompute one doc bitset per in-use taxonomy term.
+// termVector is one document's weighted term frequencies and the
+// Euclidean norm over them: everything the index reads from a
+// document's text. It depends only on the tokenized fields, so a
+// Builder reuses it for as long as the document's content key holds.
+type termVector struct {
+	terms []string
+	tfs   []float32
+	norm  float64
+}
+
+// vectorize tokenizes and weighs every indexed field of a. Weighted tfs
+// are integer sums, so the norm is exact whatever order the terms come
+// in.
+func vectorize(a *activity.Activity) *termVector {
+	tf := map[string]float64{}
+	add := func(text string, weight float64) {
+		for _, tok := range Tokenize(text) {
+			tf[tok] += weight
+		}
+	}
+	add(a.Title, weightTitle)
+	add(a.Author, weightAuthor)
+	add(a.Details, weightDetails)
+	add(a.Accessibility, weightDetails)
+	add(a.Assessment, weightDetails)
+	add(strings.Join(a.Variations, " "), weightDetails)
+	for _, tags := range [][]string{a.CS2013, a.TCPP, a.Courses, a.Senses, a.Medium} {
+		add(strings.Join(tags, " "), weightTags)
+	}
+	v := &termVector{terms: make([]string, 0, len(tf)), tfs: make([]float32, 0, len(tf))}
+	var sq float64
+	for tok, w := range tf {
+		v.terms = append(v.terms, tok)
+		v.tfs = append(v.tfs, float32(w))
+		sq += w * w
+	}
+	v.norm = math.Sqrt(sq)
+	return v
+}
+
+// Builder builds indexes while memoizing each document's term vector
+// under a caller-supplied content key, so a rebuild after a one-file
+// edit tokenizes only the edited document. The dictionary, postings,
+// norms and facet bitsets are still assembled from every vector. The
+// memo keeps only the latest build's keys, so it is bounded by the
+// corpus size. A Builder is safe for concurrent use.
+type Builder struct {
+	mu   sync.Mutex
+	memo map[string]*termVector // content key -> term vector
+}
+
+// NewBuilder returns a builder with an empty memo.
+func NewBuilder() *Builder { return &Builder{} }
+
+// Build indexes acts, tokenizing only the documents whose key(slug) the
+// previous build did not see. key must change whenever any tokenized
+// field of the activity does; core.Repository.ActivityFingerprint
+// qualifies. A nil Builder builds without a memo, like the package-level
+// Build.
+func (b *Builder) Build(acts []*activity.Activity, key func(slug string) string) *Index {
+	if b == nil {
+		return Build(acts)
+	}
+	// A memo map is never written after it is published, so builds read
+	// the previous one without holding the lock.
+	b.mu.Lock()
+	prev := b.memo
+	b.mu.Unlock()
+	next := make(map[string]*termVector, len(acts))
+	ix := build(acts, func(a *activity.Activity) *termVector {
+		k := key(a.Slug)
+		v := next[k]
+		if v == nil {
+			v = prev[k]
+		}
+		if v == nil {
+			v = vectorize(a)
+		}
+		next[k] = v
+		return v
+	})
+	b.mu.Lock()
+	b.memo = next
+	b.mu.Unlock()
+	return ix
+}
+
+// Build indexes the given activities from scratch: the memo-less case
+// of Builder.Build.
 func Build(acts []*activity.Activity) *Index {
+	return build(acts, vectorize)
+}
+
+// build assembles an index from the documents' term vectors: intern the
+// vocabulary, lay the posting lists out as slabs in doc-ID order, and
+// precompute one doc bitset per in-use taxonomy term. vector supplies
+// each document's term vector, tokenizing it or recalling it.
+func build(acts []*activity.Activity, vector func(*activity.Activity) *termVector) *Index {
 	buildCalls.Add(1)
 	start := time.Now()
 	n := len(acts)
@@ -189,27 +283,18 @@ func Build(acts []*activity.Activity) *Index {
 	copy(sorted, acts)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Slug < sorted[j].Slug })
 
-	// Pass 1: per-document weighted term frequencies and the vocabulary.
-	docTFs := make([]map[string]float64, n)
-	vocab := make(map[string]uint32) // term -> ID once buildDict lays the dictionary out
+	// Pass 1: per-document term vectors and the vocabulary.
+	vecs := make([]*termVector, n)
+	total := 0 // postings: one per (term, doc) pair
 	for d, a := range sorted {
-		tf := map[string]float64{}
-		add := func(text string, weight float64) {
-			for _, tok := range Tokenize(text) {
-				tf[tok] += weight
-			}
-		}
-		add(a.Title, weightTitle)
-		add(a.Author, weightAuthor)
-		add(a.Details, weightDetails)
-		add(a.Accessibility, weightDetails)
-		add(a.Assessment, weightDetails)
-		add(strings.Join(a.Variations, " "), weightDetails)
-		for _, tags := range [][]string{a.CS2013, a.TCPP, a.Courses, a.Senses, a.Medium} {
-			add(strings.Join(tags, " "), weightTags)
-		}
-		docTFs[d] = tf
-		for tok := range tf {
+		vecs[d] = vector(a)
+		total += len(vecs[d].terms)
+	}
+	// term -> ID once buildDict lays the dictionary out; sized for a
+	// term's ~2 documents on average.
+	vocab := make(map[string]uint32, total/2)
+	for _, v := range vecs {
+		for _, tok := range v.terms {
 			vocab[tok] = 0
 		}
 	}
@@ -223,44 +308,45 @@ func Build(acts []*activity.Activity) *Index {
 	}
 	for d, a := range sorted {
 		ix.slugs[d] = a.Slug
+		ix.norms[d] = vecs[d].norm
 	}
 
-	// Pass 2: resolve term IDs from vocab, compute norms (weighted tfs
-	// are integer sums, so the squared sums are exact regardless of order).
-	perDoc := make([][]docPosting, n)
+	// Pass 2: resolve every posting's term ID once and count document
+	// frequencies.
+	tids := make([]uint32, total)
 	df := make([]uint32, ix.dict.len_())
-	for d, tfs := range docTFs {
-		var sq float64
-		dps := make([]docPosting, 0, len(tfs))
-		for tok, tf := range tfs {
+	k := 0
+	for _, v := range vecs {
+		for _, tok := range v.terms {
 			tid := vocab[tok]
-			dps = append(dps, docPosting{tid: tid, tf: float32(tf)})
+			tids[k] = tid
 			df[tid]++
-			sq += tf * tf
+			k++
 		}
-		perDoc[d] = dps
-		ix.norms[d] = math.Sqrt(sq)
 	}
 
 	// Pass 3: slab layout. Prefix-sum the document frequencies into the
 	// offsets table, then scatter postings; walking documents in doc-ID
 	// order leaves every span sorted by doc ID.
 	offsets := make([]uint32, ix.dict.len_()+1)
-	var total uint32
+	var sum uint32
 	for tid, c := range df {
-		offsets[tid] = total
-		total += c
+		offsets[tid] = sum
+		sum += c
 	}
-	offsets[len(df)] = total
+	offsets[len(df)] = sum
 	next := append([]uint32(nil), offsets[:len(df)]...)
 	ids := make([]uint32, total)
 	tfs := make([]float32, total)
-	for d, dps := range perDoc {
-		for _, dp := range dps {
-			pos := next[dp.tid]
+	k = 0
+	for d, v := range vecs {
+		for _, tf := range v.tfs {
+			tid := tids[k]
+			pos := next[tid]
 			ids[pos] = uint32(d)
-			tfs[pos] = dp.tf
-			next[dp.tid]++
+			tfs[pos] = tf
+			next[tid]++
+			k++
 		}
 	}
 	ix.post = postings{offsets: offsets, ids: ids, tfs: tfs}

@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"pdcunplugged/internal/core"
 	"pdcunplugged/internal/corpus"
 	"pdcunplugged/internal/curation"
+	"pdcunplugged/internal/taxonomy"
 )
 
 // corpusRepo loads a repository from an optionally-edited copy of the
@@ -25,6 +27,38 @@ func corpusRepo(t *testing.T, edit func(files map[string]string)) *core.Reposito
 		t.Fatal(err)
 	}
 	return repo
+}
+
+// fixedRepoJobs is the part of the page graph every repository has:
+// index, four views, api, sims and static.
+const fixedRepoJobs = 8
+
+// termJobs counts the in-use taxonomy terms: one term page job each.
+func termJobs(repo *core.Repository) int {
+	n := 0
+	for _, def := range taxonomy.Standard() {
+		n += len(repo.Index().Terms(def.Name))
+	}
+	return n
+}
+
+// termJobIDs returns the ids of the term page jobs listing slug.
+func termJobIDs(repo *core.Repository, slug string) map[string]bool {
+	ids := map[string]bool{}
+	a, _ := repo.Get(slug)
+	for _, def := range taxonomy.Standard() {
+		for _, term := range a.Terms(def.Name) {
+			ids["terms/"+def.Name+"/"+term] = true
+		}
+	}
+	return ids
+}
+
+// touchOneMisses is the number of jobs one edited activity re-renders:
+// its page and assessment sheet, the term pages listing it, and the
+// repository-scoped jobs (all the fixed ones but static).
+func touchOneMisses(repo *core.Repository, slug string) int {
+	return 2 + len(termJobIDs(repo, slug)) + fixedRepoJobs - 1
 }
 
 // TestParallelBuildMatchesSerial is the determinism contract of the
@@ -59,9 +93,10 @@ func TestBuildStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := b.LastStats()
-	// 38 activities x (activity page + assessment sheet) + index, terms,
-	// four views, api, sims, static.
-	wantJobs := 2*38 + 9
+	// An activity page and an assessment sheet per activity, one page
+	// per in-use taxonomy term, and the fixed repository jobs.
+	repo := corpusRepo(t, nil)
+	wantJobs := 2*repo.Len() + termJobs(repo) + fixedRepoJobs
 	if st.Jobs != wantJobs {
 		t.Errorf("Jobs = %d, want %d", st.Jobs, wantJobs)
 	}
@@ -80,9 +115,9 @@ func TestBuildStats(t *testing.T) {
 }
 
 // TestIncrementalRebuild pins down the page-graph dependency story:
-// touching one activity re-renders exactly that activity's two jobs plus
-// the repository-scoped aggregation jobs, and every untouched page comes
-// back byte-identical from the cache.
+// touching one activity re-renders exactly that activity's two jobs, the
+// term pages listing it, and the repository-scoped aggregation jobs, and
+// every untouched page comes back byte-identical from the cache.
 func TestIncrementalRebuild(t *testing.T) {
 	b := NewBuilder(Options{})
 	first, err := b.Build(corpusRepo(t, nil))
@@ -104,21 +139,24 @@ func TestIncrementalRebuild(t *testing.T) {
 	}
 
 	// Touch one activity: its page + assessment sheet re-render
-	// (activity-scoped), as do the 8 repository-scoped jobs (index,
-	// terms, 4 views, api, sims). The static job and the other 37
-	// activities' 74 jobs stay cached.
-	touched, err := b.Build(corpusRepo(t, func(files map[string]string) {
+	// (activity-scoped), as do its term pages and the 7
+	// repository-scoped jobs (index, 4 views, api, sims). The static job,
+	// the other term pages and the other 37 activities' 74 jobs stay
+	// cached.
+	repo := corpusRepo(t, func(files map[string]string) {
 		files["findsmallestcard"] += "\n- Rebuild benchmark citation.\n"
-	}))
+	})
+	touched, err := b.Build(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st = b.LastStats()
-	if st.CacheMisses != 10 {
-		t.Errorf("one-activity rebuild: misses=%d, want 10", st.CacheMisses)
+	want := touchOneMisses(repo, "findsmallestcard")
+	if st.CacheMisses != want {
+		t.Errorf("one-activity rebuild: misses=%d, want %d", st.CacheMisses, want)
 	}
-	if st.CacheHits != st.Jobs-10 {
-		t.Errorf("one-activity rebuild: hits=%d, want %d", st.CacheHits, st.Jobs-10)
+	if st.CacheHits != st.Jobs-want {
+		t.Errorf("one-activity rebuild: hits=%d, want %d", st.CacheHits, st.Jobs-want)
 	}
 	if !bytes.Contains(touched.Pages["activities/findsmallestcard/index.html"], []byte("Rebuild benchmark citation")) {
 		t.Error("touched activity page not re-rendered")
@@ -205,9 +243,9 @@ func TestPerSourceJobInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 activities x 2 jobs + the 9 repository jobs + one browse page per
-	// source + the sources overview.
-	wantJobs := 2*4 + 9 + 3
+	// 4 activities x 2 jobs + their term pages + the fixed repository
+	// jobs + one browse page per source + the sources overview.
+	wantJobs := 2*4 + termJobs(load()) + fixedRepoJobs + 3
 	if st := b.LastStats(); st.Jobs != wantJobs || st.CacheMisses != wantJobs {
 		t.Fatalf("cold federated build: jobs=%d misses=%d, want %d/%d", st.Jobs, st.CacheMisses, wantJobs, wantJobs)
 	}
@@ -215,9 +253,9 @@ func TestPerSourceJobInvalidation(t *testing.T) {
 		t.Fatal("federated build is missing source browse pages")
 	}
 
-	// Touch one activity in alpha: its two activity-scoped jobs, the 8
-	// repository-scoped jobs, alpha's browse page, and the overview
-	// re-render — 12 misses — while beta's browse page stays cached.
+	// Touch one activity in alpha: the usual one-activity misses plus
+	// alpha's browse page and the overview re-render, while beta's
+	// browse page stays cached.
 	touched := filepath.Join(dirs[0], slugs[0]+".md")
 	body, err := os.ReadFile(touched)
 	if err != nil {
@@ -226,18 +264,138 @@ func TestPerSourceJobInvalidation(t *testing.T) {
 	if err := os.WriteFile(touched, append(body, []byte("\n- Federation invalidation probe.\n")...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	second, err := b.Build(load())
+	repo := load()
+	second, err := b.Build(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := b.LastStats()
-	if st.CacheMisses != 12 {
-		t.Errorf("one-source rebuild: misses=%d, want 12", st.CacheMisses)
+	want := touchOneMisses(repo, slugs[0]) + 2
+	if st.CacheMisses != want {
+		t.Errorf("one-source rebuild: misses=%d, want %d", st.CacheMisses, want)
 	}
-	if st.CacheHits != st.Jobs-12 {
-		t.Errorf("one-source rebuild: hits=%d, want %d", st.CacheHits, st.Jobs-12)
+	if st.CacheHits != st.Jobs-want {
+		t.Errorf("one-source rebuild: hits=%d, want %d", st.CacheHits, st.Jobs-want)
 	}
 	if !bytes.Equal(second.Pages["sources/beta/index.html"], first.Pages["sources/beta/index.html"]) {
 		t.Error("untouched source's browse page changed across incremental rebuild")
+	}
+}
+
+// cacheFPs copies the builder's job fingerprints.
+func cacheFPs(b *Builder) map[string]string {
+	fps := make(map[string]string, len(b.cache))
+	for id, e := range b.cache {
+		fps[id] = e.fp
+	}
+	return fps
+}
+
+// TestTouchOneRerendersOnlyItsTermPages: retitling one activity changes
+// every term page listing it and no other. Exactly those term jobs
+// re-render, and the incremental site is byte-identical to a cold build
+// of the edited corpus.
+func TestTouchOneRerendersOnlyItsTermPages(t *testing.T) {
+	const slug = "findsmallestcard"
+	retitled := func() *core.Repository {
+		repo := corpusRepo(t, nil)
+		acts := repo.All()
+		for i, a := range acts {
+			if a.Slug == slug {
+				edited := *a
+				edited.Title += " (revised)"
+				acts[i] = &edited
+			}
+		}
+		edited, err := core.New(acts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return edited
+	}
+
+	b := NewBuilder(Options{})
+	if _, err := b.Build(corpusRepo(t, nil)); err != nil {
+		t.Fatal(err)
+	}
+	before := cacheFPs(b)
+	repo := retitled()
+	incremental, err := b.Build(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTerms := termJobIDs(repo, slug)
+	if len(wantTerms) == 0 {
+		t.Fatalf("%s lists no taxonomy terms", slug)
+	}
+	for id, fp := range cacheFPs(b) {
+		if !strings.HasPrefix(id, "terms/") {
+			continue
+		}
+		if rerendered := before[id] != fp; rerendered != wantTerms[id] {
+			t.Errorf("term job %s: re-rendered=%v, want %v", id, rerendered, wantTerms[id])
+		}
+	}
+	if st := b.LastStats(); st.CacheMisses != touchOneMisses(repo, slug) {
+		t.Errorf("misses=%d, want %d", st.CacheMisses, touchOneMisses(repo, slug))
+	}
+
+	cold, err := NewBuilder(Options{}).Build(retitled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if incremental.Len() != cold.Len() {
+		t.Fatalf("incremental build has %d pages, cold build %d", incremental.Len(), cold.Len())
+	}
+	for p, want := range cold.Pages {
+		if !bytes.Equal(incremental.Pages[p], want) {
+			t.Errorf("page %s differs from a cold build", p)
+		}
+	}
+	a, _ := repo.Get(slug)
+	probe := "courses/" + taxonomy.Slug(a.Courses[0]) + "/index.html"
+	if !bytes.Contains(incremental.Pages[probe], []byte("(revised)")) {
+		t.Errorf("term page %s does not show the new title", probe)
+	}
+}
+
+// TestVanishedTermLosesItsPage: deleting a term's only member removes
+// the term's page from the site and its job from the cache.
+func TestVanishedTermLosesItsPage(t *testing.T) {
+	repo := corpusRepo(t, nil)
+	var def taxonomy.Def
+	var term, member string
+	for _, d := range taxonomy.Standard() {
+		for _, tm := range repo.Index().Terms(d.Name) {
+			if entries := repo.Index().EntriesFor(d.Name, tm); len(entries) == 1 && member == "" {
+				def, term, member = d, tm, entries[0]
+			}
+		}
+	}
+	if member == "" {
+		t.Fatal("corpus has no single-member taxonomy term")
+	}
+	page := def.Name + "/" + taxonomy.Slug(term) + "/index.html"
+	id := "terms/" + def.Name + "/" + term
+
+	b := NewBuilder(Options{})
+	first, err := b.Build(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Pages[page] == nil {
+		t.Fatalf("cold build has no page %s for term %s", page, term)
+	}
+	smaller, err := b.Build(corpusRepo(t, func(files map[string]string) {
+		delete(files, member)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := smaller.Pages[page]; ok {
+		t.Errorf("page %s survived the removal of its only member %s", page, member)
+	}
+	if _, ok := b.cache[id]; ok {
+		t.Errorf("cache entry %s not pruned", id)
 	}
 }

@@ -3,10 +3,11 @@ package site
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
+	"strconv"
 
 	"pdcunplugged/internal/core"
 	"pdcunplugged/internal/markdown"
+	"pdcunplugged/internal/taxonomy"
 )
 
 // engineVersion names the page-rendering engine revision. Every job
@@ -18,8 +19,8 @@ const engineVersion = "site/3"
 
 // job is one node of the page graph: a cache identity, a pipeline stage
 // (the metric label), a content-addressed fingerprint of everything the
-// render reads, and the render itself. A job may emit one page (an
-// activity page) or a coupled group (all taxonomy term pages).
+// render reads, and the render itself. Most jobs emit one page; the api
+// job emits the JSON export group.
 type job struct {
 	id     string // stable cache key, e.g. "activity/findsmallestcard"
 	stage  string // activity, assess, index, terms, view, api, sims, static
@@ -28,22 +29,29 @@ type job struct {
 }
 
 // fingerprint hashes the ordered parts with separators so distinct part
-// lists never collide.
+// lists never collide. The parts are gathered into one buffer and hashed
+// in one call: a term page's fingerprint has a part per member.
 func fingerprint(parts ...string) string {
-	h := sha256.New()
+	n := 0
 	for _, p := range parts {
-		io.WriteString(h, p)
-		h.Write([]byte{0})
+		n += len(p) + 1
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	buf := make([]byte, 0, n)
+	for _, p := range parts {
+		buf = append(append(buf, p...), 0)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // planJobs lays out the page graph for one repository. Activity-scoped
 // jobs (the activity page and its assessment sheet) are fingerprinted by
 // that activity alone, so touching one source file invalidates exactly
-// two jobs; repository-scoped jobs (index, term pages, views, API,
-// dramatizations) list or aggregate every activity and therefore key on
-// the whole-repository fingerprint.
+// two jobs; each taxonomy term page keys on its members, so the edit
+// re-renders only the term pages that list the activity (or stop or
+// start listing it); the remaining repository-scoped jobs (index, views,
+// API, dramatizations) list or aggregate every activity and therefore
+// key on the whole-repository fingerprint.
 func planJobs(repo *core.Repository) []job {
 	jobs := make([]job, 0, 2*repo.Len()+9)
 	for _, a := range repo.All() {
@@ -81,13 +89,35 @@ func planJobs(repo *core.Repository) []job {
 			render: (*renderer).buildSourcesPage,
 		})
 	}
+	// A term page lists its members' titles and material flags under a
+	// header that links the Sources page only in federated corpora, so
+	// its fingerprint covers the term, that flag, and every member's
+	// slug and activity fingerprint. Jobs follow taxonomy and term order,
+	// so two terms sharing a page path resolve as they always have.
+	hasSources := strconv.FormatBool(len(repo.Sources()) > 0)
+	for _, def := range taxonomy.Standard() {
+		def := def
+		for _, page := range repo.Index().Pages(def.Name) {
+			page := page
+			parts := make([]string, 0, 7+2*len(page.Entries))
+			parts = append(parts, engineVersion, markdown.EngineVersion, "term", def.Name, def.Title, page.Term, hasSources)
+			for _, slug := range page.Entries {
+				parts = append(parts, slug, repo.ActivityFingerprint(slug))
+			}
+			jobs = append(jobs, job{
+				id:     "terms/" + def.Name + "/" + page.Term,
+				stage:  "terms",
+				fp:     fingerprint(parts...),
+				render: func(rn *renderer) error { return rn.buildTermPage(def, page) },
+			})
+		}
+	}
 	repoFP := fingerprint(engineVersion, markdown.EngineVersion, repo.Fingerprint())
 	repoJob := func(id, stage string, render func(*renderer) error) job {
 		return job{id: id, stage: stage, fp: repoFP, render: render}
 	}
 	return append(jobs,
 		repoJob("index", "index", (*renderer).buildIndex),
-		repoJob("terms", "terms", (*renderer).buildTermPages),
 		repoJob("view/cs2013", "view", (*renderer).buildCS2013View),
 		repoJob("view/tcpp", "view", (*renderer).buildTCPPView),
 		repoJob("view/courses", "view", (*renderer).buildCoursesView),

@@ -202,21 +202,15 @@ func (rn *renderer) buildSourcesPage() error {
 	return rn.renderPage("sources/index.html", "Corpus Sources", nil, body.String())
 }
 
-func (rn *renderer) buildTermPages() error {
-	ix := rn.repo.Index()
-	for _, def := range taxonomy.Standard() {
-		for _, page := range ix.Pages(def.Name) {
-			var body strings.Builder
-			fmt.Fprintf(&body, "<p>%d activities tagged <code>%s</code> in the %s taxonomy.</p>\n",
-				len(page.Entries), markdown.Escape(page.Term), markdown.Escape(def.Title))
-			body.WriteString(rn.activityList(page.Entries))
-			path := fmt.Sprintf("%s/%s/index.html", def.Name, taxonomy.Slug(page.Term))
-			if err := rn.renderPage(path, def.Title+": "+page.Term, nil, body.String()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// buildTermPage renders one taxonomy term's page: the activities that
+// list the term.
+func (rn *renderer) buildTermPage(def taxonomy.Def, page taxonomy.TermPage) error {
+	var body strings.Builder
+	fmt.Fprintf(&body, "<p>%d activities tagged <code>%s</code> in the %s taxonomy.</p>\n",
+		len(page.Entries), markdown.Escape(page.Term), markdown.Escape(def.Title))
+	body.WriteString(rn.activityList(page.Entries))
+	path := fmt.Sprintf("%s/%s/index.html", def.Name, taxonomy.Slug(page.Term))
+	return rn.renderPage(path, def.Title+": "+page.Term, nil, body.String())
 }
 
 func (rn *renderer) buildCS2013View() error {
