@@ -68,7 +68,7 @@ bench-index-record:
 # order under the race detector. A test that fails here once in twenty
 # fails tier-1 runs too. Slow, so not part of check.
 STRESS_PKGS = ./internal/watch ./internal/engine ./internal/replica ./internal/obs \
-	./internal/loadgen ./internal/obs/fleet ./cmd/pdcu
+	./internal/loadgen ./internal/obs/fleet ./internal/query ./internal/obs/trace ./cmd/pdcu
 
 stress:
 	$(GO) test -race -shuffle=on -count=20 $(STRESS_PKGS)

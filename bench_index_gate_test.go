@@ -18,7 +18,6 @@ import (
 
 	"pdcunplugged/internal/bench"
 	"pdcunplugged/internal/engine"
-	"pdcunplugged/internal/query"
 	"pdcunplugged/internal/search"
 )
 
@@ -49,8 +48,7 @@ func benchQueryServeCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := query.New(snap, query.Options{})
-		serveOnce(b, s.Handler(), target)
+		serveOnce(b, queryService(snap).Handler(), target)
 	}
 }
 

@@ -1,17 +1,14 @@
 package pdcunplugged_test
 
 // Benchmarks for the /api/v1 query-serving subsystem: the cold render
-// path (parse + search + encode on every request), the generation-keyed
-// cache hit path, and the coalesced path where concurrent identical
-// misses share one render.
+// path (parse + search + encode on every request) and the
+// generation-keyed cache hit path.
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +24,12 @@ func queryBenchSnapshot(b testing.TB) *query.Snapshot {
 		b.Fatal(err)
 	}
 	return query.NewSnapshot(repo)
+}
+
+// queryService builds a fresh query service (empty result cache) over
+// one fixed snapshot.
+func queryService(snap *query.Snapshot) *query.Service {
+	return query.New(func() *query.Snapshot { return snap }, query.Options{})
 }
 
 func serveOnce(b testing.TB, h http.Handler, target string) {
@@ -46,39 +49,19 @@ func BenchmarkQueryServe(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := query.New(snap, query.Options{})
-			serveOnce(b, s.Handler(), target)
+			serveOnce(b, queryService(snap).Handler(), target)
 		}
 	})
 
 	// cached: one warm service; every request is a generation-keyed hit.
 	b.Run("cached", func(b *testing.B) {
-		s := query.New(snap, query.Options{})
-		h := s.Handler()
+		h := queryService(snap).Handler()
 		serveOnce(b, h, target) // warm the cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			serveOnce(b, h, target)
 		}
-	})
-
-	// coalesced: a one-entry cache and two alternating queries keep every
-	// request a miss, so concurrent identical misses pile onto the
-	// singleflight leader instead of rendering independently.
-	b.Run("coalesced", func(b *testing.B) {
-		s := query.New(snap, query.Options{CacheSize: 1})
-		h := s.Handler()
-		queries := [2]string{"sorting+cards", "token+ring"}
-		var n atomic.Int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				q := queries[n.Add(1)%2]
-				serveOnce(b, h, fmt.Sprintf("/api/v1/search?q=%s&limit=10", q))
-			}
-		})
 	})
 }
 
@@ -123,8 +106,8 @@ func TestQueryCachedSpeedup(t *testing.T) {
 			t.Fatalf("%s = %d: %s", target, rec.Code, rec.Body)
 		}
 	}
-	cold := func() { serve(query.New(snap, query.Options{}).Handler()) }
-	warm := query.New(snap, query.Options{}).Handler()
+	cold := func() { serve(queryService(snap).Handler()) }
+	warm := queryService(snap).Handler()
 	serve(warm)
 	cached := func() { serve(warm) }
 

@@ -18,7 +18,6 @@ import (
 
 	"pdcunplugged/internal/obs"
 	"pdcunplugged/internal/obs/trace"
-	"pdcunplugged/internal/query"
 )
 
 const traceBenchTarget = "/api/v1/search?q=sorting+cards&limit=10"
@@ -27,7 +26,7 @@ const traceBenchTarget = "/api/v1/search?q=sorting+cards&limit=10"
 // metrics middleware, with tr pinned (nil disables tracing entirely).
 func traceBenchHandler(b testing.TB, tr *trace.Tracer) http.Handler {
 	b.Helper()
-	s := query.New(queryBenchSnapshot(b), query.Options{})
+	s := queryService(queryBenchSnapshot(b))
 	h := obs.NewHTTPMetrics(obs.NewRegistry()).WithTracer(tr).Wrap(s.Handler())
 	serveOnce(b, h, traceBenchTarget) // warm the cache
 	return h

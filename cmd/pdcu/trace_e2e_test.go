@@ -57,7 +57,7 @@ func TestServeTraceparentEndToEnd(t *testing.T) {
 	for _, sp := range d.Spans {
 		got[sp.Name] = true
 	}
-	for _, want := range []string{"query.ratelimit", "query.cache", "query.coalesce", "query.search"} {
+	for _, want := range []string{"query.ratelimit", "query.cache", "query.search"} {
 		if !got[want] {
 			t.Errorf("trace missing child span %q (have %v)", want, d.Spans)
 		}
@@ -77,8 +77,8 @@ func TestServeTraceparentEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s = %d, want 200", path, resp.StatusCode)
 		}
-		if !strings.Contains(string(body), "query.coalesce") {
-			t.Errorf("%s does not show the query.coalesce span", path)
+		if !strings.Contains(string(body), "query.search") {
+			t.Errorf("%s does not show the query.search span", path)
 		}
 	}
 }

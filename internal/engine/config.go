@@ -51,9 +51,6 @@ type Config struct {
 	// submissions cannot crowd out read traffic (or vice versa). 0
 	// disables contrib admission control; negative is rejected.
 	ContribRate float64
-	// CacheSize is the query result-cache capacity; 0 selects the
-	// query package default. Negative is rejected.
-	CacheSize int
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 	// LogLevel is the slog threshold: debug, info, warn, or error.
@@ -314,7 +311,6 @@ func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
 	float("PDCU_RATE", &c.Rate)
 	integer("PDCU_BURST", &c.Burst)
 	float("PDCU_CONTRIB_RATE", &c.ContribRate)
-	integer("PDCU_CACHE_SIZE", &c.CacheSize)
 	boolean("PDCU_PPROF", &c.Pprof)
 	str("PDCU_LOG_LEVEL", &c.LogLevel)
 	float("PDCU_TRACE_SAMPLE", &c.TraceSample)
@@ -390,9 +386,6 @@ func (c Config) Validate() error {
 	}
 	if c.ContribRate < 0 {
 		return fmt.Errorf("-contrib-rate must be >= 0, got %v", c.ContribRate)
-	}
-	if c.CacheSize < 0 {
-		return fmt.Errorf("cache size must be >= 0, got %d", c.CacheSize)
 	}
 	if c.TraceSample < 0 || c.TraceSample > 1 {
 		return fmt.Errorf("-trace-sample must be in [0,1], got %v", c.TraceSample)

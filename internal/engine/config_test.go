@@ -21,7 +21,6 @@ func TestValidateRejections(t *testing.T) {
 		{"jobs negative", func(c *Config) { c.Jobs = -3 }, "-j must be >= 1"},
 		{"rate negative", func(c *Config) { c.Rate = -1 }, "-rate must be >= 0"},
 		{"burst negative", func(c *Config) { c.Burst = -2 }, "-burst must be >= 0"},
-		{"cache negative", func(c *Config) { c.CacheSize = -1 }, "cache size must be >= 0"},
 		{"sample below zero", func(c *Config) { c.TraceSample = -0.1 }, "-trace-sample must be in [0,1]"},
 		{"sample above one", func(c *Config) { c.TraceSample = 1.5 }, "-trace-sample must be in [0,1]"},
 		{"poll zero", func(c *Config) { c.Poll = 0 }, "-poll must be > 0"},
@@ -84,7 +83,6 @@ func TestApplyEnv(t *testing.T) {
 		"PDCU_POLL":         "2s",
 		"PDCU_RATE":         "50",
 		"PDCU_BURST":        "7",
-		"PDCU_CACHE_SIZE":   "64",
 		"PDCU_PPROF":        "1",
 		"PDCU_LOG_LEVEL":    "debug",
 		"PDCU_TRACE_SAMPLE": "0.5",
@@ -97,7 +95,7 @@ func TestApplyEnv(t *testing.T) {
 	}
 	if cfg.Srcs.String() != "content" || cfg.Addr != ":9999" || cfg.Jobs != 3 ||
 		!cfg.Watch || cfg.Poll != 2*time.Second || cfg.Rate != 50 ||
-		cfg.Burst != 7 || cfg.CacheSize != 64 || !cfg.Pprof ||
+		cfg.Burst != 7 || !cfg.Pprof ||
 		cfg.LogLevel != "debug" || cfg.TraceSample != 0.5 ||
 		cfg.TraceSlow != 100*time.Millisecond {
 		t.Errorf("env overlay = %+v", cfg)

@@ -387,7 +387,7 @@ func (e *Engine) publishLocked(g *Generation) {
 // publish subscriber.
 func (e *Engine) Query() *query.Service {
 	e.queryOnce.Do(func() {
-		e.query = query.NewSource(func() *query.Snapshot {
+		e.query = query.New(func() *query.Snapshot {
 			if g := e.cur.Load(); g != nil {
 				return g.snap
 			}
@@ -395,7 +395,6 @@ func (e *Engine) Query() *query.Service {
 		}, query.Options{
 			RateLimit:   e.cfg.Rate,
 			Burst:       e.cfg.Burst,
-			CacheSize:   e.cfg.CacheSize,
 			ContribRate: e.cfg.ContribRate,
 		})
 		e.Subscribe(func(*Generation) { e.query.Purge() })

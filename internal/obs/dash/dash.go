@@ -84,7 +84,6 @@ type cacheRow struct {
 	Name   string
 	Hits   float64
 	Misses float64
-	Other  float64 // e.g. coalesced query lookups
 	Ratio  string
 }
 
@@ -334,8 +333,6 @@ func cacheRows(reg *obs.Registry) []cacheRow {
 				row.Hits += s.Value
 			case "miss":
 				row.Misses += s.Value
-			default:
-				row.Other += s.Value
 			}
 		}
 		if denom := row.Hits + row.Misses; denom > 0 {
@@ -775,8 +772,8 @@ svg.spark{vertical-align:middle}polyline{fill:none;stroke:#6cb6ff;stroke-width:1
 <tr>{{range .Search}}<td class="num">{{.Value}}</td>{{end}}</tr></table>
 
 <h2>Caches</h2>
-<table><tr><th>layer</th><th>hits</th><th>misses</th><th>other</th><th>hit ratio</th></tr>
-{{range .Caches}}<tr><td>{{.Name}}</td><td class="num">{{printf "%.0f" .Hits}}</td><td class="num">{{printf "%.0f" .Misses}}</td><td class="num">{{printf "%.0f" .Other}}</td><td class="num">{{.Ratio}}</td></tr>
+<table><tr><th>layer</th><th>hits</th><th>misses</th><th>hit ratio</th></tr>
+{{range .Caches}}<tr><td>{{.Name}}</td><td class="num">{{printf "%.0f" .Hits}}</td><td class="num">{{printf "%.0f" .Misses}}</td><td class="num">{{.Ratio}}</td></tr>
 {{end}}</table>
 
 <h2>Build workers</h2>

@@ -41,7 +41,7 @@ func fixture(t *testing.T) (Config, trace.TraceID) {
 		clk = clk.Add(step)
 		return clk
 	}})
-	ctx, root := tr.StartRoot(context.Background(), "GET /api/v1/search")
+	ctx, root := tr.StartRecorded(context.Background(), "GET /api/v1/search")
 	_, child := trace.StartSpan(ctx, "query.search")
 	trace.ObserveExemplar(ctx, "pdcu_query_duration_seconds", "search", obs.DefBuckets(), 0.02)
 	child.End()

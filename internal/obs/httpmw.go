@@ -136,17 +136,19 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 		// already measures duration and status, so tail retention for
 		// them is applied after the fact (RecordIfPinned) and the
 		// healthy fast path pays no tracing allocations at all. Only a
-		// traceparent request (the caller explicitly asked for a
-		// waterfall) or a winning sample draw records spans. Direct map
-		// indexing with the pre-canonicalized "Traceparent" key skips
-		// the per-request canonicalization alloc of Header.Get.
+		// valid traceparent (the caller explicitly asked for a
+		// waterfall) or a winning sample draw records spans; a
+		// malformed one is treated as absent. Direct map indexing with
+		// the pre-canonicalized "Traceparent" key skips the per-request
+		// canonicalization alloc of Header.Get.
 		var sp *trace.Span
 		tr := m.tracer()
 		if tr != nil {
 			var sctx context.Context
 			if v := r.Header["Traceparent"]; len(v) > 0 {
 				sctx, sp = tr.StartRemote(r.Context(), r.Method+" "+r.URL.Path, v[0])
-			} else if tr.Sampled() {
+			}
+			if sp == nil && tr.Sampled() {
 				sctx, sp = tr.StartRecorded(r.Context(), r.Method+" "+r.URL.Path)
 			}
 			if sp != nil {

@@ -143,6 +143,58 @@ func TestMiddlewareTraceparent(t *testing.T) {
 	}
 }
 
+// TestMiddlewareMalformedTraceparent pins that a traceparent the parser
+// rejects is treated as absent. With sampling off the request is not
+// traced: no response header, no trace_id in the access log, and it
+// passes through log sampling like any healthy request. With sampling
+// on, the trace the response advertises can be fetched.
+func TestMiddlewareMalformedTraceparent(t *testing.T) {
+	serve := func(tracer *trace.Tracer, logRate float64) (*httptest.ResponseRecorder, string, *Registry) {
+		reg := NewRegistry()
+		var buf bytes.Buffer
+		lg := NewLogger(&buf)
+		m := NewHTTPMetrics(reg).WithTracer(tracer).WithLogSample(logRate)
+		m.log = func() *slog.Logger { return lg }
+		h := m.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte("ok"))
+		}))
+		req := httptest.NewRequest("GET", "/api/v1/search", nil)
+		req.Header.Set("traceparent", "garbage")
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		return rr, buf.String(), reg
+	}
+
+	off := newEdgeTracer()
+	rr, log, _ := serve(off, 1)
+	if got := rr.Header().Get("traceparent"); got != "" {
+		t.Errorf("sampling off: response advertises trace %q that was never recorded", got)
+	}
+	if !strings.Contains(log, "msg=request") || strings.Contains(log, "trace_id=") {
+		t.Errorf("sampling off: access log = %q, want a line without trace_id", log)
+	}
+	if n := off.Store().Len(); n != 0 {
+		t.Errorf("sampling off: store holds %d traces, want 0", n)
+	}
+	_, log, reg := serve(newEdgeTracer(), 0)
+	if log != "" {
+		t.Errorf("sampling off: request skipped log sampling: %q", log)
+	}
+	if s := reg.Snapshot("pdcu_http_access_log_total"); len(s) != 1 || s[0].Labels["decision"] != "sampled_out" {
+		t.Errorf("access-log decisions = %+v, want one sampled_out", s)
+	}
+
+	on := trace.New(trace.Options{SampleRate: 1})
+	rr, _, _ = serve(on, 1)
+	tid, _, err := trace.ParseTraceparent(rr.Header().Get("traceparent"))
+	if err != nil {
+		t.Fatalf("sampling on: response traceparent: %v", err)
+	}
+	if d, ok := on.Store().Get(tid); !ok || d.Reason != "sampled" {
+		t.Errorf("sampling on: advertised trace ok=%v data=%+v, want a stored sampled trace", ok, d)
+	}
+}
+
 // TestMiddlewareAccessLogTraceID pins that every request-scoped access
 // log line carries the trace_id attr.
 func TestMiddlewareAccessLogTraceID(t *testing.T) {

@@ -59,10 +59,10 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Span is one timed region of a trace. Spans are created through
-// Tracer.StartRoot or the package StartSpan helper and finished with
-// End; all methods are safe on a nil receiver, so un-traced code paths
-// cost nothing.
+// Span is one timed region of a recorded trace. Roots are created
+// through the Tracer's Start* methods, children through the package
+// StartSpan helper, and all are finished with End; all methods are safe
+// on a nil receiver, so un-traced code paths cost nothing.
 type Span struct {
 	tracer *Tracer
 	buf    *traceBuf
@@ -78,14 +78,6 @@ type Span struct {
 	attrs []Attr
 	err   string
 	done  bool
-}
-
-// Recording reports whether the span belongs to a recorded trace.
-// Sampled-out light roots return false: annotating them is wasted work
-// unless they end up pinned, so cost-sensitive callers gate their
-// SetAttr calls on this.
-func (s *Span) Recording() bool {
-	return s != nil && s.buf != nil
 }
 
 // TraceID returns the trace this span belongs to (zero for nil spans).
@@ -137,8 +129,8 @@ func (s *Span) FailErr(err error) {
 }
 
 // End finishes the span, recording it into its trace. Ending the root
-// span finalizes the trace: the tracer applies its retention policy and
-// either stores or drops it. Repeated calls are no-ops.
+// span finalizes the trace: the tracer classifies it for retention and
+// stores it. Repeated calls are no-ops.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -153,21 +145,12 @@ func (s *Span) End() {
 	errMsg := s.err
 	s.mu.Unlock()
 
-	end := s.tracer.now()
-	if s.buf == nil {
-		// Sampled-out light root: nothing was recorded, but tail
-		// retention still pins it when it errored or ran slow.
-		if s.isRoot {
-			s.tracer.finishLight(s, end.Sub(s.start), errMsg)
-		}
-		return
-	}
 	s.buf.add(SpanData{
 		ID:       s.id,
 		Parent:   s.parent,
 		Name:     s.name,
 		Start:    s.start,
-		Duration: end.Sub(s.start),
+		Duration: s.tracer.now().Sub(s.start),
 		Err:      errMsg,
 		Attrs:    attrs,
 	})
@@ -215,7 +198,15 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	child := parent.tracer.newSpan(parent.buf, parent.traceID, parent.id, name, false)
+	child := &Span{
+		tracer:  parent.tracer,
+		buf:     parent.buf,
+		traceID: parent.traceID,
+		id:      parent.tracer.newSpanID(),
+		parent:  parent.id,
+		name:    name,
+		start:   parent.tracer.now(),
+	}
 	return ContextWith(ctx, child), child
 }
 
@@ -229,11 +220,11 @@ type Options struct {
 	Capacity int
 	// SlowThreshold pins any trace at least this long (default 250ms).
 	SlowThreshold time.Duration
-	// SampleRate is the probability in [0,1] that StartRoot records a
-	// trace in full. Sampled-out roots are still timed and pinned into
-	// the store when they error or run slow (without child spans);
-	// sampled-in traces are always stored, unpinned unless they error,
-	// run slow, or were forced. Negative means the default of 1 (record
+	// SampleRate is the probability in [0,1] that Sampled admits a
+	// request to a fully recorded trace. Sampled-out requests are pinned
+	// after the fact when they error or run slow (RecordIfPinned);
+	// recorded traces are always stored, unpinned unless they error, run
+	// slow, or were forced. Negative means the default of 1 (record
 	// everything); 0 records only forced traces.
 	SampleRate float64
 	// MaxSpans caps the spans recorded per trace so a runaway loop
@@ -249,14 +240,13 @@ type Options struct {
 // Tracer creates spans and owns the bounded trace store. A nil *Tracer
 // is valid and traces nothing.
 type Tracer struct {
-	store      *Store
-	slow       time.Duration
-	sample     float64
-	maxSpans   int
-	now        func() time.Time
-	randf      func() float64
-	customRand func() float64 // opts.Rand verbatim; nil = use rng
-	ex         exemplars
+	store    *Store
+	slow     time.Duration
+	sample   float64
+	maxSpans int
+	now      func() time.Time
+	randf    func() float64
+	ex       exemplars
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -277,14 +267,13 @@ func New(opts Options) *Tracer {
 		opts.MaxSpans = 512
 	}
 	t := &Tracer{
-		store:      NewStore(opts.Capacity),
-		slow:       opts.SlowThreshold,
-		sample:     opts.SampleRate,
-		maxSpans:   opts.MaxSpans,
-		now:        opts.Now,
-		randf:      opts.Rand,
-		customRand: opts.Rand,
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
+		store:    NewStore(opts.Capacity),
+		slow:     opts.SlowThreshold,
+		sample:   opts.SampleRate,
+		maxSpans: opts.MaxSpans,
+		now:      opts.Now,
+		randf:    opts.Rand,
+		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if t.now == nil {
 		t.now = time.Now
@@ -339,68 +328,22 @@ func (t *Tracer) newSpanID() (sid SpanID) {
 	return sid
 }
 
-func (t *Tracer) newSpan(buf *traceBuf, tid TraceID, parent SpanID, name string, root bool) *Span {
-	return &Span{
+// startRoot begins the recorded root span of a trace; forced, when
+// non-empty, pins the trace with that retention reason.
+func (t *Tracer) startRoot(ctx context.Context, name string, tid TraceID, sid, parent SpanID, forced string) (context.Context, *Span) {
+	buf := newTraceBuf(t.maxSpans)
+	buf.forced = forced
+	sp := &Span{
 		tracer:  t,
 		buf:     buf,
 		traceID: tid,
-		id:      t.newSpanID(),
-		parent:  parent,
-		name:    name,
-		start:   t.now(),
-		isRoot:  root,
-	}
-}
-
-// StartRoot begins a new trace with a fresh trace ID. Use StartRemote
-// when a caller supplied a traceparent header. A nil tracer returns
-// (ctx, nil).
-//
-// Whether the trace records child spans is decided here, with
-// probability SampleRate: a sampled-in root records fully and is
-// retained; a sampled-out root stays "light" — it is still timed and
-// still pinned into the store if it errors or runs slow, but children
-// are not recorded and the returned context is ctx unchanged, so the
-// hot path pays one span allocation and nothing else. Callers that need
-// a guaranteed waterfall use StartForced or StartRemote.
-func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	var (
-		tid  TraceID
-		sid  SpanID
-		draw float64
-	)
-	t.mu.Lock()
-	t.rng.Read(tid[:])
-	t.rng.Read(sid[:])
-	if t.customRand == nil {
-		draw = t.rng.Float64() // one lock acquisition for IDs + draw
-	}
-	t.mu.Unlock()
-	if t.customRand != nil {
-		draw = t.customRand()
-	}
-	if tid.IsZero() {
-		tid[15] = 1
-	}
-	if sid.IsZero() {
-		sid[7] = 1
-	}
-	sp := &Span{
-		tracer:  t,
-		traceID: tid,
 		id:      sid,
+		parent:  parent,
 		name:    name,
 		start:   t.now(),
 		isRoot:  true,
 	}
-	if t.sample > 0 && draw < t.sample {
-		sp.buf = newTraceBuf(t.maxSpans)
-		return ContextWith(ctx, sp), sp
-	}
-	return ctx, sp
+	return ContextWith(ctx, sp), sp
 }
 
 // Sampled reports one draw of the tracer's sample rate: true with
@@ -427,16 +370,7 @@ func (t *Tracer) StartRecorded(ctx context.Context, name string) (context.Contex
 		return ctx, nil
 	}
 	tid, sid := t.newID()
-	sp := &Span{
-		tracer:  t,
-		buf:     newTraceBuf(t.maxSpans),
-		traceID: tid,
-		id:      sid,
-		name:    name,
-		start:   t.now(),
-		isRoot:  true,
-	}
-	return ContextWith(ctx, sp), sp
+	return t.startRoot(ctx, name, tid, sid, SpanID{}, "")
 }
 
 // RecordIfPinned applies tail retention to a request that ran without a
@@ -481,54 +415,34 @@ func (t *Tracer) StartForced(ctx context.Context, name string) (context.Context,
 		return ctx, nil
 	}
 	tid, sid := t.newID()
-	buf := newTraceBuf(t.maxSpans)
-	buf.forced = "forced"
-	sp := &Span{
-		tracer:  t,
-		buf:     buf,
-		traceID: tid,
-		id:      sid,
-		name:    name,
-		start:   t.now(),
-		isRoot:  true,
-	}
-	return ContextWith(ctx, sp), sp
+	return t.startRoot(ctx, name, tid, sid, SpanID{}, "forced")
 }
 
 // StartRemote begins a trace continuing a W3C traceparent carried by an
 // incoming request: the trace ID is the remote one and the remote span
 // becomes the root's parent, so a distributed collector can join the
-// halves. An empty or malformed header falls back to StartRoot. A trace
-// that arrived with an explicit traceparent is always retained — the
-// caller asked for it by name, so sampling it out would be hostile.
+// halves. A trace that arrived with an explicit traceparent is always
+// retained — the caller asked for it by name, so sampling it out would
+// be hostile. An empty or malformed header continues nothing: it returns
+// (ctx, nil), and the caller treats the request like one without a
+// header.
 func (t *Tracer) StartRemote(ctx context.Context, name, traceparent string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
 	tid, parent, err := ParseTraceparent(traceparent)
 	if err != nil {
-		return t.StartRoot(ctx, name)
+		return ctx, nil
 	}
-	buf := newTraceBuf(t.maxSpans)
-	buf.forced = "traceparent"
-	sp := &Span{
-		tracer:  t,
-		buf:     buf,
-		traceID: tid,
-		id:      t.newSpanID(),
-		parent:  parent,
-		name:    name,
-		start:   t.now(),
-		isRoot:  true,
-	}
-	return ContextWith(ctx, sp), sp
+	return t.startRoot(ctx, name, tid, t.newSpanID(), parent, "traceparent")
 }
 
 // finish applies retention to a completed recorded trace: pinned when
 // any span failed, the root ran at least the slow threshold, or the
 // caller forced it (traceparent / StartForced); otherwise kept unpinned
-// as "sampled" — the sampling draw already happened at StartRoot, so
-// every recorded trace is stored and unpinned ones are evicted first.
+// as "sampled" — the sampling draw already happened before the trace
+// started, so every recorded trace is stored and unpinned ones are
+// evicted first.
 func (t *Tracer) finish(root *Span) {
 	data := root.buf.snapshot()
 	d := Data{
@@ -556,38 +470,6 @@ func (t *Tracer) finish(root *Span) {
 		d.Reason = "sampled"
 	}
 	t.store.add(d)
-}
-
-// finishLight applies tail retention to a sampled-out root: errored and
-// slow traces are still pinned into the store — as a root-only trace,
-// since nothing else was recorded — and everything else vanishes
-// without another allocation.
-func (t *Tracer) finishLight(root *Span, d time.Duration, errMsg string) {
-	if errMsg == "" && d < t.slow {
-		return
-	}
-	data := Data{
-		ID:       root.traceID,
-		Root:     root.name,
-		Start:    root.start,
-		Duration: d,
-		Err:      errMsg != "",
-		Pinned:   true,
-		Reason:   "slow",
-		Spans: []SpanData{{
-			ID:       root.id,
-			Parent:   root.parent,
-			Name:     root.name,
-			Start:    root.start,
-			Duration: d,
-			Err:      errMsg,
-			Attrs:    root.attrs,
-		}},
-	}
-	if data.Err {
-		data.Reason = "error"
-	}
-	t.store.add(data)
 }
 
 // traceBuf accumulates the completed spans of one in-flight trace.

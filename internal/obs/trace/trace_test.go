@@ -29,7 +29,7 @@ func newTestTracer(opts Options) (*Tracer, *fakeClock) {
 
 func TestSpanHierarchyAndAttrs(t *testing.T) {
 	tr, _ := newTestTracer(Options{SampleRate: 1})
-	ctx, root := tr.StartRoot(context.Background(), "request")
+	ctx, root := tr.StartRecorded(context.Background(), "request")
 	if root == nil {
 		t.Fatal("root span is nil")
 	}
@@ -83,7 +83,7 @@ func TestNilSpanSafety(t *testing.T) {
 		t.Errorf("nil Traceparent = %q", got)
 	}
 	var tr *Tracer
-	if _, sp := tr.StartRoot(ctx, "x"); sp != nil {
+	if _, sp := tr.StartRecorded(ctx, "x"); sp != nil {
 		t.Error("nil tracer must return nil spans")
 	}
 	if tr.Store() != nil {
@@ -93,7 +93,7 @@ func TestNilSpanSafety(t *testing.T) {
 
 func TestTraceparentRoundTrip(t *testing.T) {
 	tr, _ := newTestTracer(Options{})
-	_, root := tr.StartRoot(context.Background(), "req")
+	_, root := tr.StartRecorded(context.Background(), "req")
 	h := root.Traceparent()
 	tid, sid, err := ParseTraceparent(h)
 	if err != nil {
@@ -146,46 +146,54 @@ func TestStartRemoteContinuesTrace(t *testing.T) {
 		t.Errorf("root parent = %s, want the remote span ID", data.Spans[0].Parent)
 	}
 
-	// A malformed header falls back to a fresh root trace.
-	_, fresh := tr.StartRemote(context.Background(), "req", "garbage")
-	if fresh.TraceID().IsZero() {
-		t.Error("fallback root has no trace ID")
+	// A malformed header continues nothing: no span, and the context is
+	// left as it was, so the caller handles the request like one that
+	// carried no header.
+	ctx := context.Background()
+	if ctx2, sp := tr.StartRemote(ctx, "req", "garbage"); sp != nil || ctx2 != ctx {
+		t.Errorf("malformed traceparent started span %v", sp)
 	}
-	fresh.End()
 }
 
 func TestTailRetention(t *testing.T) {
 	slow := 50 * time.Millisecond
 	tr, clk := newTestTracer(Options{SampleRate: 0, SlowThreshold: slow})
+	start := time.Unix(1700000000, 0)
 
-	// Ordinary fast trace with sampling off: dropped at completion.
-	_, fast := tr.StartRoot(context.Background(), "fast")
-	fast.End()
-	if _, ok := tr.Store().Get(fast.TraceID()); ok {
-		t.Error("sampled-out trace must not be stored")
+	// Ordinary fast request with sampling off: nothing is stored.
+	if id, ok := tr.RecordIfPinned("fast", start, time.Millisecond, ""); ok || !id.IsZero() {
+		t.Errorf("fast request pinned as %s", id)
+	}
+	if n := tr.Store().Len(); n != 0 {
+		t.Errorf("store holds %d traces after a fast request, want 0", n)
 	}
 
-	// Errored trace: pinned.
-	_, bad := tr.StartRoot(context.Background(), "bad")
-	bad.Fail("exploded")
-	bad.End()
-	if d, ok := tr.Store().Get(bad.TraceID()); !ok || !d.Pinned || d.Reason != "error" {
-		t.Errorf("error trace: ok=%v data=%+v", ok, d)
+	// Errored request: pinned, with the error on its root span.
+	id, ok := tr.RecordIfPinned("bad", start, time.Millisecond, "exploded")
+	if d, found := tr.Store().Get(id); !ok || !found || !d.Pinned || d.Reason != "error" ||
+		len(d.Spans) != 1 || d.Spans[0].Err != "exploded" {
+		t.Errorf("error trace: ok=%v found=%v data=%+v", ok, found, d)
 	}
 
-	// Slow trace: pinned. The fake clock advances 1ms per now() call;
-	// stretch the step so the root span exceeds the threshold.
+	// Slow request: pinned.
+	id, ok = tr.RecordIfPinned("sluggish", start, slow, "")
+	if d, found := tr.Store().Get(id); !ok || !found || !d.Pinned || d.Reason != "slow" || d.Duration != slow {
+		t.Errorf("slow trace: ok=%v found=%v data=%+v", ok, found, d)
+	}
+
+	// A recorded trace that runs slow is pinned too. The fake clock
+	// advances one step per now() call; stretch the step so the root
+	// span meets the threshold.
 	clk.step = slow
-	_, sluggish := tr.StartRoot(context.Background(), "sluggish")
+	_, sluggish := tr.StartRecorded(context.Background(), "recorded")
 	sluggish.End()
 	if d, ok := tr.Store().Get(sluggish.TraceID()); !ok || !d.Pinned || d.Reason != "slow" {
-		t.Errorf("slow trace: ok=%v data=%+v", ok, d)
+		t.Errorf("slow recorded trace: ok=%v data=%+v", ok, d)
 	}
-	clk.step = time.Millisecond
 
 	// With SampleRate=1 an ordinary trace is kept but unpinned.
 	tr2, _ := newTestTracer(Options{SampleRate: 1})
-	_, ok2 := tr2.StartRoot(context.Background(), "ordinary")
+	_, ok2 := tr2.StartRecorded(context.Background(), "ordinary")
 	ok2.End()
 	if d, ok := tr2.Store().Get(ok2.TraceID()); !ok || d.Pinned || d.Reason != "sampled" {
 		t.Errorf("sampled trace: ok=%v data=%+v", ok, d)
@@ -200,13 +208,13 @@ func TestEvictionSparesPinned(t *testing.T) {
 
 	var pinnedIDs []TraceID
 	for i := 0; i < 3; i++ {
-		_, sp := tr.StartRoot(context.Background(), "err")
+		_, sp := tr.StartRecorded(context.Background(), "err")
 		sp.Fail("boom")
 		sp.End()
 		pinnedIDs = append(pinnedIDs, sp.TraceID())
 	}
 	for i := 0; i < 50; i++ {
-		_, sp := tr.StartRoot(context.Background(), "ok")
+		_, sp := tr.StartRecorded(context.Background(), "ok")
 		sp.End()
 	}
 	if got := tr.Store().Len(); got != 8 {
@@ -244,7 +252,7 @@ func TestEvictionSparesPinned(t *testing.T) {
 
 func TestMaxSpansCap(t *testing.T) {
 	tr, _ := newTestTracer(Options{SampleRate: 1, MaxSpans: 4})
-	ctx, root := tr.StartRoot(context.Background(), "req")
+	ctx, root := tr.StartRecorded(context.Background(), "req")
 	for i := 0; i < 10; i++ {
 		_, sp := StartSpan(ctx, "child")
 		sp.End()
@@ -262,7 +270,7 @@ func TestMaxSpansCap(t *testing.T) {
 func TestExemplars(t *testing.T) {
 	tr, _ := newTestTracer(Options{SampleRate: 1})
 	bounds := []float64{0.01, 0.1, 1}
-	ctx, root := tr.StartRoot(context.Background(), "req")
+	ctx, root := tr.StartRecorded(context.Background(), "req")
 
 	ObserveExemplar(ctx, "pdcu_query_duration_seconds", "search", bounds, 0.05)
 	ObserveExemplar(ctx, "pdcu_query_duration_seconds", "search", bounds, 5)                    // +Inf bucket
@@ -286,7 +294,7 @@ func TestExemplars(t *testing.T) {
 	}
 
 	// A later observation into the same bucket replaces the slot.
-	ctx2, root2 := tr.StartRoot(context.Background(), "req2")
+	ctx2, root2 := tr.StartRecorded(context.Background(), "req2")
 	ObserveExemplar(ctx2, "pdcu_query_duration_seconds", "search", bounds, 0.09)
 	root2.End()
 	exs = tr.Exemplars()
@@ -297,7 +305,7 @@ func TestExemplars(t *testing.T) {
 
 func TestDoubleEndAndLateAttrs(t *testing.T) {
 	tr, _ := newTestTracer(Options{SampleRate: 1})
-	ctx, root := tr.StartRoot(context.Background(), "req")
+	ctx, root := tr.StartRecorded(context.Background(), "req")
 	_, sp := StartSpan(ctx, "child")
 	sp.End()
 	sp.End() // second End must not double-record
@@ -328,7 +336,7 @@ func TestDefaultTracerSwap(t *testing.T) {
 
 func TestTraceparentFormat(t *testing.T) {
 	tr, _ := newTestTracer(Options{})
-	_, root := tr.StartRoot(context.Background(), "req")
+	_, root := tr.StartRecorded(context.Background(), "req")
 	defer root.End()
 	h := root.Traceparent()
 	parts := strings.Split(h, "-")

@@ -6,18 +6,16 @@ import (
 )
 
 // cacheEntry is one cached rendered response: the JSON body, its gzipped
-// form (pre-compressed once so cache hits never re-deflate), the strong
-// ETag over the body, and the HTTP status it was rendered with. Entries
-// are immutable after insertion.
+// form (pre-compressed once so cache hits never re-deflate), and the
+// strong ETag over the body. Entries are immutable after insertion.
 type cacheEntry struct {
-	body   []byte
-	gz     []byte // nil when the body is below the gzip threshold
-	etag   string
-	status int
+	body []byte
+	gz   []byte // nil when the body is below the gzip threshold
+	etag string
 }
 
 // resultCache is a mutex-guarded LRU over rendered responses. Keys embed
-// the site generation (see Service.cacheKey), so entries from a replaced
+// the site generation (see Service.handle), so entries from a replaced
 // site can never be returned for a live one; Purge drops them wholesale
 // on swap to release the memory immediately.
 type resultCache struct {

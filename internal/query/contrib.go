@@ -6,7 +6,7 @@
 // The endpoint deliberately bypasses the read-path stack in handle():
 // responses are per-submission and never cacheable, so it gets its own
 // token bucket (Options.ContribRate), its own metrics family, and a body
-// size cap instead of the LRU/singleflight/ETag machinery. Crucially it
+// size cap instead of the LRU/ETag machinery. Crucially it
 // reviews against the published Snapshot's index rather than building
 // one (contrib.EvaluateIndexed), so a replica follower that adopted a
 // decoded snapshot can validate submissions while keeping its cold-start
@@ -25,10 +25,10 @@ import (
 	"pdcunplugged/internal/obs"
 )
 
-// contribDefaultMaxBody caps submission bodies at 1 MiB; the largest
-// curated activity is under 8 KiB, so the cap only exists to bound what
-// a misbehaving client can make the parser chew on.
-const contribDefaultMaxBody = 1 << 20
+// contribMaxBody caps submission bodies at 1 MiB; the largest curated
+// activity is under 8 KiB, so the cap only exists to bound what a
+// misbehaving client can make the parser chew on.
+const contribMaxBody = 1 << 20
 
 var (
 	contribRequests = obs.Default().Counter("pdcu_contrib_requests_total",
@@ -96,16 +96,16 @@ func (s *Service) handleContrib() http.HandlerFunc {
 		}
 		// Read one byte past the cap so an at-the-limit body is
 		// distinguishable from an over-limit one.
-		body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.ContribMaxBody+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, contribMaxBody+1))
 		if err != nil {
 			contribRequests.With("bad_request").Inc()
 			writeError(w, "contrib", http.StatusBadRequest, "reading request body: "+err.Error())
 			return
 		}
-		if int64(len(body)) > s.opts.ContribMaxBody {
+		if len(body) > contribMaxBody {
 			contribRequests.With("bad_request").Inc()
 			writeError(w, "contrib", http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("submission exceeds %d bytes", s.opts.ContribMaxBody))
+				fmt.Sprintf("submission exceeds %d bytes", contribMaxBody))
 			return
 		}
 		snap := s.source()
@@ -126,13 +126,13 @@ func (s *Service) handleContrib() http.HandlerFunc {
 	}
 }
 
-// writeJSON emits an uncached 200 response; the contrib endpoint's
-// bodies are per-submission, so they skip the entry cache entirely.
+// writeJSON emits an uncached 200 response. Contrib bodies are
+// per-submission, so they get no ETag and no pre-compressed copy.
 func writeJSON(w http.ResponseWriter, v any) {
-	e := encodeEntry(v)
+	body := marshalBody(v)
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
-	if _, err := w.Write(e.body); err != nil {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
 		obs.Logger().Warn("contrib response write failed", "err", err)
 	}
 }

@@ -7,9 +7,8 @@
 // kept in an LRU cache keyed by (site generation, normalized query), so a
 // repeated query is a map lookup; the generation is the repository
 // fingerprint, which means a live-reload swap can never serve a stale
-// page — old keys simply stop being asked for, and Swap purges them
-// wholesale to release memory. Concurrent identical misses coalesce onto
-// a single render (singleflight), a token bucket sheds over-limit traffic
+// page — old keys simply stop being asked for, and Purge drops them
+// wholesale to release memory. A token bucket sheds over-limit traffic
 // with 429 + Retry-After, bodies above a threshold are pre-compressed for
 // gzip-negotiating clients, and every endpoint feeds latency histograms
 // plus cache and shed counters in internal/obs.
@@ -25,13 +24,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"pdcunplugged/internal/core"
 	"pdcunplugged/internal/obs"
 	"pdcunplugged/internal/obs/trace"
 	"pdcunplugged/internal/search"
+	"pdcunplugged/internal/site"
 )
 
 var (
@@ -44,7 +43,7 @@ var (
 	queryDuration = obs.Default().Histogram("pdcu_query_duration_seconds",
 		"Query API request latency, by endpoint.", obs.QueryBuckets(), "endpoint")
 	queryCache = obs.Default().Counter("pdcu_query_cache_total",
-		"Query API result-cache lookups, by endpoint and result (hit, miss, coalesced).",
+		"Query API result-cache lookups, by endpoint and result (hit, miss).",
 		"endpoint", "result")
 	queryShed = obs.Default().Counter("pdcu_query_shed_total",
 		"Query API requests shed by admission control, by endpoint.", "endpoint")
@@ -59,24 +58,22 @@ var (
 // path is left with plain atomic updates. Error-path statuses (400, 429,
 // ...) stay on the dynamic With lookup — they are rare by construction.
 type endpointMetrics struct {
-	duration  *obs.HistogramChild
-	ok        *obs.CounterChild // 200
-	notMod    *obs.CounterChild // 304
-	hit       *obs.CounterChild
-	miss      *obs.CounterChild
-	coalesced *obs.CounterChild
-	shed      *obs.CounterChild
+	duration *obs.HistogramChild
+	ok       *obs.CounterChild // 200
+	notMod   *obs.CounterChild // 304
+	hit      *obs.CounterChild
+	miss     *obs.CounterChild
+	shed     *obs.CounterChild
 }
 
 func newEndpointMetrics(name string) *endpointMetrics {
 	return &endpointMetrics{
-		duration:  queryDuration.With(name),
-		ok:        queryRequests.With(name, "200"),
-		notMod:    queryRequests.With(name, "304"),
-		hit:       queryCache.With(name, "hit"),
-		miss:      queryCache.With(name, "miss"),
-		coalesced: queryCache.With(name, "coalesced"),
-		shed:      queryShed.With(name),
+		duration: queryDuration.With(name),
+		ok:       queryRequests.With(name, "200"),
+		notMod:   queryRequests.With(name, "304"),
+		hit:      queryCache.With(name, "hit"),
+		miss:     queryCache.With(name, "miss"),
+		shed:     queryShed.With(name),
 	}
 }
 
@@ -124,101 +121,64 @@ func NewSnapshotContext(ctx context.Context, repo *core.Repository, ib *search.B
 	}
 }
 
-// Options configures a Service. The zero value serves with a 256-entry
-// cache, no rate limiting, and a search-limit clamp of 100.
+// cacheSize is the result-cache capacity in rendered responses, and
+// maxLimit clamps the search limit parameter.
+const (
+	cacheSize = 256
+	maxLimit  = 100
+)
+
+// Options configures a Service's admission control. The zero value
+// serves without rate limiting.
 type Options struct {
-	// CacheSize is the LRU capacity in rendered responses (default 256).
-	CacheSize int
-	// RateLimit admits this many requests per second across all query
+	// RateLimit admits this many requests per second across the read
 	// endpoints; 0 (or negative) disables admission control.
 	RateLimit float64
 	// Burst is the token-bucket capacity (default 2*RateLimit, min 1).
 	Burst int
-	// MaxLimit clamps the search limit parameter (default 100).
-	MaxLimit int
 	// ContribRate admits this many contribution validations per second
 	// through a bucket separate from RateLimit — review is the one write-
 	// shaped, uncacheable endpoint, so its admission control cannot share
-	// tokens with the cached read path. 0 (or negative) disables it.
+	// tokens with the cached read path. Its burst is 2*ContribRate (min
+	// 1). 0 (or negative) disables it.
 	ContribRate float64
-	// ContribBurst is the contrib token-bucket capacity (default
-	// 2*ContribRate, min 1).
-	ContribBurst int
-	// ContribMaxBody caps a submission body in bytes (default 1 MiB).
-	ContribMaxBody int64
 }
 
 // Service answers the /api/v1/ endpoints from whatever Snapshot its
-// source currently returns. A standalone Service (New) owns its
-// snapshot and republishes via Swap; a source-backed Service
-// (NewSource) holds no snapshot state at all — it reads through the
-// provided function on every request, so when that function loads an
-// engine's generation pointer, the query surface can never disagree
+// source currently returns. It holds no snapshot state of its own: it
+// reads through the source on every request, so when the source loads
+// an engine's generation pointer, the query surface can never disagree
 // with the other surfaces reading the same pointer. In-flight requests
 // finish against the snapshot they loaded.
 type Service struct {
-	opts    Options
 	source  func() *Snapshot
-	own     atomic.Pointer[Snapshot]
 	cache   *resultCache
-	flight  *flightGroup
 	limiter *tokenBucket
 	// contribLimiter admits /api/v1/contrib/validate separately: a burst
 	// of submissions must not evict read traffic, and vice versa.
 	contribLimiter *tokenBucket
 	router         *apiRouter
-
-	// renderHook, when non-nil, runs inside the singleflight leader just
-	// before rendering — a test seam for pinning coalescing behaviour.
-	renderHook func()
 }
 
-// New returns a standalone Service serving snap under opts; publish new
-// snapshots with Swap.
-func New(snap *Snapshot, opts Options) *Service {
-	s := newService(opts)
-	s.own.Store(snap)
-	s.source = s.own.Load
-	return s
-}
-
-// NewSource returns a Service that reads its snapshot through source on
-// every request (nil results answer 503 until a snapshot exists). The
-// caller is responsible for calling Purge when the source's snapshot
-// changes; generation-keyed cache keys make a stale hit impossible
-// either way, purging just releases memory promptly.
-func NewSource(source func() *Snapshot, opts Options) *Service {
-	s := newService(opts)
-	s.source = source
-	return s
-}
-
-func newService(opts Options) *Service {
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 256
-	}
-	if opts.MaxLimit <= 0 {
-		opts.MaxLimit = 100
-	}
-	if opts.RateLimit > 0 && opts.Burst <= 0 {
-		opts.Burst = int(math.Max(1, 2*opts.RateLimit))
-	}
-	if opts.ContribRate > 0 && opts.ContribBurst <= 0 {
-		opts.ContribBurst = int(math.Max(1, 2*opts.ContribRate))
-	}
-	if opts.ContribMaxBody <= 0 {
-		opts.ContribMaxBody = contribDefaultMaxBody
-	}
+// New returns a Service that reads its snapshot through source on every
+// request (nil results answer 503 until a snapshot exists). The caller
+// calls Purge when the source's snapshot changes; generation-keyed cache
+// keys make a stale hit impossible either way, purging just releases
+// memory promptly.
+func New(source func() *Snapshot, opts Options) *Service {
 	s := &Service{
-		opts:   opts,
-		cache:  newResultCache(opts.CacheSize),
-		flight: newFlightGroup(),
+		source: source,
+		cache:  newResultCache(cacheSize),
 	}
 	if opts.RateLimit > 0 {
-		s.limiter = newTokenBucket(opts.RateLimit, opts.Burst)
+		burst := opts.Burst
+		if burst <= 0 {
+			burst = int(2 * opts.RateLimit)
+		}
+		s.limiter = newTokenBucket(opts.RateLimit, burst)
 	}
 	if opts.ContribRate > 0 {
-		s.contribLimiter = newTokenBucket(opts.ContribRate, opts.ContribBurst)
+		s.contribLimiter = newTokenBucket(opts.ContribRate, int(2*opts.ContribRate))
 	}
 	s.router = &apiRouter{
 		search:     s.handle("search", parseSearch),
@@ -227,17 +187,6 @@ func newService(opts Options) *Service {
 		contrib:    s.handleContrib(),
 	}
 	return s
-}
-
-// Swap publishes a new snapshot on a standalone Service and purges the
-// result cache wholesale. Entries rendered under the old generation
-// could never be served for the new one (the generation is part of
-// every cache key); purging just releases their memory immediately.
-// On a source-backed Service the stored snapshot is ignored — the
-// source is authoritative — but the purge still runs.
-func (s *Service) Swap(snap *Snapshot) {
-	s.own.Store(snap)
-	s.Purge()
 }
 
 // Purge drops every cached result and counts the swap. Engine publish
@@ -258,7 +207,7 @@ func (s *Service) Handler() http.Handler { return s.router }
 // string switch. The route table never changes after construction, so
 // the general ServeMux machinery (pattern registry, per-request match
 // walk, its ~40 allocations of construction per Handler build) buys
-// nothing here; the router is built once in newService and shared.
+// nothing here; the router is built once in New and shared.
 type apiRouter struct {
 	search     http.HandlerFunc
 	activities http.HandlerFunc
@@ -286,14 +235,14 @@ type renderFn func(snap *Snapshot) any
 
 // parseFn validates request parameters and returns the endpoint-local
 // cache key plus the renderer; a non-nil error is a 400.
-type parseFn func(s *Service, v url.Values) (key string, render renderFn, err error)
+type parseFn func(v url.Values) (key string, render renderFn, err error)
 
 // handle wraps one endpoint with the full serving stack: method check,
-// admission control, generation-keyed cache, singleflight, and
-// negotiated write. Each stage runs under its own trace span when the
-// request carries one (the obs HTTP middleware puts the root span in
-// the request context), and the endpoint latency is recorded with an
-// exemplar linking its histogram bucket back to the trace.
+// admission control, generation-keyed cache, and negotiated write. Each
+// stage runs under its own trace span when the request carries one (the
+// obs HTTP middleware puts the root span in the request context), and
+// the endpoint latency is recorded with an exemplar linking its
+// histogram bucket back to the trace.
 func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 	em := endpointMetricsFor[name]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -320,7 +269,7 @@ func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 			return
 		}
 		rlSpan.End()
-		key, render, err := parse(s, r.URL.Query())
+		key, render, err := parse(r.URL.Query())
 		if err != nil {
 			writeError(w, name, http.StatusBadRequest, err.Error())
 			return
@@ -347,44 +296,33 @@ func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 		if hit {
 			em.hit.Inc()
 		} else {
-			coCtx, coSpan := trace.StartSpan(ctx, "query.coalesce")
-			var coalesced bool
-			entry, coalesced = s.flight.do(full, func() *cacheEntry {
-				// This closure only runs for the singleflight leader, so
-				// the render span appears in the leader's trace; followers
-				// show the wait inside their query.coalesce span instead.
-				_, rSpan := trace.StartSpan(coCtx, "query."+name)
-				defer rSpan.End()
-				if s.renderHook != nil {
-					s.renderHook()
-				}
-				e := encodeEntry(render(snap))
-				s.cache.put(full, e)
-				return e
-			})
-			coSpan.SetAttr("coalesced", strconv.FormatBool(coalesced))
-			coSpan.End()
-			if coalesced {
-				em.coalesced.Inc()
-			} else {
-				em.miss.Inc()
-			}
+			em.miss.Inc()
+			_, rSpan := trace.StartSpan(ctx, "query."+name)
+			entry = encodeEntry(render(snap))
+			s.cache.put(full, entry)
+			rSpan.End()
 		}
 		writeEntry(w, r, em, entry)
 	}
 }
 
-// encodeEntry marshals a response value into an immutable cache entry:
-// indented JSON plus trailing newline, a strong ETag over the bytes, and
-// a pre-compressed body when it clears the gzip threshold.
-func encodeEntry(v any) *cacheEntry {
+// marshalBody encodes a response value the way every endpoint answers:
+// indented JSON plus a trailing newline.
+func marshalBody(v any) []byte {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		// Response types are plain data; a marshal failure is a
 		// programming error, but never crash the serve path for it.
 		body = []byte(`{"error":"internal encoding failure"}`)
 	}
-	body = append(body, '\n')
+	return append(body, '\n')
+}
+
+// encodeEntry marshals a response value into an immutable cache entry:
+// the body, a strong ETag over the bytes, and a pre-compressed body when
+// it clears the gzip threshold.
+func encodeEntry(v any) *cacheEntry {
+	body := marshalBody(v)
 	e := &cacheEntry{body: body, etag: etagFor(body)}
 	if len(body) >= gzipMinSize {
 		e.gz = gzipBytes(body)
@@ -399,7 +337,7 @@ func writeEntry(w http.ResponseWriter, r *http.Request, em *endpointMetrics, e *
 	h.Set("Content-Type", "application/json")
 	h.Set("ETag", e.etag)
 	h.Set("Vary", "Accept-Encoding")
-	if etagMatch(r.Header.Get("If-None-Match"), e.etag) {
+	if site.ETagMatch(r.Header.Get("If-None-Match"), e.etag) {
 		em.notMod.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -428,21 +366,6 @@ func writeError(w http.ResponseWriter, name string, status int, msg string) {
 		Error string `json:"error"`
 	}{msg})
 	w.Write(append(b, '\n'))
-}
-
-// etagMatch implements the weak If-None-Match comparison the 304 path
-// requires (mirrors the static-site handler).
-func etagMatch(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "*" || strings.TrimPrefix(part, "W/") == etag {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- /api/v1/search ----
@@ -525,7 +448,7 @@ func NormalizeQuery(q string) string {
 	return strings.Join(search.Tokenize(q), " ")
 }
 
-func parseSearch(s *Service, v url.Values) (string, renderFn, error) {
+func parseSearch(v url.Values) (string, renderFn, error) {
 	q := v.Get("q")
 	if strings.TrimSpace(q) == "" {
 		return "", nil, fmt.Errorf("missing required parameter q")
@@ -541,8 +464,8 @@ func parseSearch(s *Service, v url.Values) (string, renderFn, error) {
 	if limit < 1 {
 		limit = 1
 	}
-	if limit > s.opts.MaxLimit {
-		limit = s.opts.MaxLimit
+	if limit > maxLimit {
+		limit = maxLimit
 	}
 	fuzzy := false
 	if raw := v.Get("fuzzy"); raw != "" {
@@ -599,7 +522,7 @@ var facetParams = []struct{ param, taxonomy string }{
 	{"tcpp", "tcpp"},
 }
 
-func parseActivities(_ *Service, v url.Values) (string, renderFn, error) {
+func parseActivities(v url.Values) (string, renderFn, error) {
 	known := make(map[string]string, len(facetParams))
 	for _, fp := range facetParams {
 		known[fp.param] = fp.taxonomy
@@ -681,7 +604,7 @@ type FacetsResponse struct {
 	Facets     map[string]map[string]int `json:"facets"`
 }
 
-func parseFacets(_ *Service, v url.Values) (string, renderFn, error) {
+func parseFacets(v url.Values) (string, renderFn, error) {
 	if len(v) > 0 {
 		var params []string
 		for p := range v {

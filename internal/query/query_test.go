@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pdcunplugged/internal/core"
@@ -39,7 +39,17 @@ func smallerRepo(t testing.TB) *core.Repository {
 
 func testService(t testing.TB, opts Options) *Service {
 	t.Helper()
-	return New(NewSnapshot(corpusRepo(t)), opts)
+	s, _ := swappableService(t, opts)
+	return s
+}
+
+// swappableService serves the corpus from a snapshot pointer the test
+// can republish: store a new snapshot, then Purge, as the engine does.
+func swappableService(t testing.TB, opts Options) (*Service, *atomic.Pointer[Snapshot]) {
+	t.Helper()
+	cur := new(atomic.Pointer[Snapshot])
+	cur.Store(NewSnapshot(corpusRepo(t)))
+	return New(cur.Load, opts), cur
 }
 
 func get(t *testing.T, h http.Handler, target string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -227,26 +237,25 @@ func TestFacetsEndpoint(t *testing.T) {
 }
 
 // cacheCounts reads the cumulative cache counters for one endpoint.
-func cacheCounts(endpoint string) (hit, miss, coalesced float64) {
+func cacheCounts(endpoint string) (hit, miss float64) {
 	return queryCache.With(endpoint, "hit").Value(),
-		queryCache.With(endpoint, "miss").Value(),
-		queryCache.With(endpoint, "coalesced").Value()
+		queryCache.With(endpoint, "miss").Value()
 }
 
 func TestCacheHitAndSwapInvalidation(t *testing.T) {
-	s := testService(t, Options{})
+	s, cur := swappableService(t, Options{})
 	h := s.Handler()
 	const target = "/api/v1/search?q=sorting+cards"
 
-	h0, m0, _ := cacheCounts("search")
+	h0, m0 := cacheCounts("search")
 	first := get(t, h, target, nil)
-	h1, m1, _ := cacheCounts("search")
+	h1, m1 := cacheCounts("search")
 	if m1-m0 != 1 || h1-h0 != 0 {
 		t.Fatalf("cold query: hits %v misses %v", h1-h0, m1-m0)
 	}
 
 	second := get(t, h, target, nil)
-	h2, m2, _ := cacheCounts("search")
+	h2, m2 := cacheCounts("search")
 	if h2-h1 != 1 || m2-m1 != 0 {
 		t.Fatalf("repeat query was not a cache hit: hits %v misses %v", h2-h1, m2-m1)
 	}
@@ -256,7 +265,7 @@ func TestCacheHitAndSwapInvalidation(t *testing.T) {
 
 	// Distinct spellings with the same token stream share one entry.
 	get(t, h, "/api/v1/search?q=Sorting,+CARDS!", nil)
-	h3, m3, _ := cacheCounts("search")
+	h3, m3 := cacheCounts("search")
 	if h3-h2 != 1 || m3-m2 != 0 {
 		t.Fatalf("normalized spelling missed the cache: hits %v misses %v", h3-h2, m3-m2)
 	}
@@ -264,64 +273,19 @@ func TestCacheHitAndSwapInvalidation(t *testing.T) {
 	// Swapping a new generation invalidates wholesale: same query, fresh
 	// render, new generation in the body.
 	oldGen := s.Snapshot().Generation
-	s.Swap(NewSnapshot(smallerRepo(t)))
+	cur.Store(NewSnapshot(smallerRepo(t)))
+	s.Purge()
 	if s.cache.Len() != 0 {
 		t.Fatalf("swap left %d cache entries", s.cache.Len())
 	}
 	third := get(t, h, target, nil)
-	h4, m4, _ := cacheCounts("search")
+	h4, m4 := cacheCounts("search")
 	if m4-m3 != 1 || h4-h3 != 0 {
 		t.Fatalf("post-swap query was not a miss: hits %v misses %v", h4-h3, m4-m3)
 	}
 	sr := decode[SearchResponse](t, third)
 	if sr.Generation == oldGen || sr.Generation != s.Snapshot().Generation {
 		t.Errorf("post-swap generation = %q (old %q)", sr.Generation, oldGen)
-	}
-}
-
-// TestCoalescing blocks the singleflight leader's render and fires five
-// concurrent identical cold queries: exactly one render happens; every
-// other request either coalesces onto it or hits the cache it populated.
-func TestCoalescing(t *testing.T) {
-	s := testService(t, Options{})
-	h := s.Handler()
-	const target = "/api/v1/search?q=token+ring&limit=5"
-
-	renders := 0
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.renderHook = func() {
-		renders++
-		once.Do(func() { close(entered) })
-		<-release
-	}
-
-	h0, m0, c0 := cacheCounts("search")
-	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rec := get(t, h, target, nil)
-			if rec.Code != http.StatusOK {
-				t.Errorf("coalesced query = %d", rec.Code)
-			}
-		}()
-	}
-	<-entered // the leader is inside the render
-	close(release)
-	wg.Wait()
-
-	if renders != 1 {
-		t.Errorf("renders = %d, want exactly 1", renders)
-	}
-	h1, m1, c1 := cacheCounts("search")
-	if m1-m0 != 1 {
-		t.Errorf("misses = %v, want 1", m1-m0)
-	}
-	if (h1-h0)+(c1-c0) != 4 {
-		t.Errorf("hit+coalesced = %v, want 4 (hits %v, coalesced %v)", (h1-h0)+(c1-c0), h1-h0, c1-c0)
 	}
 }
 
@@ -399,7 +363,7 @@ func TestGzipNegotiation(t *testing.T) {
 }
 
 func TestETagRevalidation(t *testing.T) {
-	s := testService(t, Options{})
+	s, cur := swappableService(t, Options{})
 	h := s.Handler()
 	const target = "/api/v1/facets"
 
@@ -417,7 +381,8 @@ func TestETagRevalidation(t *testing.T) {
 	}
 
 	// A swap changes the body, so the old tag no longer matches.
-	s.Swap(NewSnapshot(smallerRepo(t)))
+	cur.Store(NewSnapshot(smallerRepo(t)))
+	s.Purge()
 	third := get(t, h, target, map[string]string{"If-None-Match": etag})
 	if third.Code != http.StatusOK {
 		t.Errorf("post-swap revalidation = %d, want 200", third.Code)

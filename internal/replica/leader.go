@@ -6,12 +6,12 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"pdcunplugged/internal/engine"
 	"pdcunplugged/internal/obs"
+	"pdcunplugged/internal/site"
 )
 
 var (
@@ -238,7 +238,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Pdcu-Seq", strconv.FormatUint(enc.seq, 10))
 	// A long-poll that timed out at the same Seq, or a conditional fetch
 	// with the current tag, both resolve to "you already have it".
-	if ifNoneMatch(r.Header.Get("If-None-Match"), enc.etag) || (r.URL.Query().Get("wait_seq") != "" && enc.seq <= after) {
+	if site.ETagMatch(r.Header.Get("If-None-Match"), enc.etag) || (r.URL.Query().Get("wait_seq") != "" && enc.seq <= after) {
 		snapshotServed.With("not_modified").Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -361,18 +361,4 @@ func (l *Leader) AutoSave(dir string) {
 			<-ch
 		}
 	}()
-}
-
-// ifNoneMatch implements the strong-comparison subset the snapshot
-// endpoint needs: wildcard or any listed tag matches.
-func ifNoneMatch(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		if part = strings.TrimSpace(part); part == "*" || part == etag {
-			return true
-		}
-	}
-	return false
 }

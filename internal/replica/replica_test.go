@@ -41,6 +41,28 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
+// TestSnapshotIfNoneMatchForms: the snapshot endpoint applies the same
+// If-None-Match rule as the site and the query API, so a weak-prefixed
+// tag and a list that contains the tag both revalidate to 304.
+func TestSnapshotIfNoneMatchForms(t *testing.T) {
+	eng := newEngine(t, corpusDir(t, 2))
+	leader := NewLeader(eng)
+	gen, err := eng.Rebuild(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := `"` + gen.ID + "-" + itoa(gen.Seq) + `"`
+	for _, header := range []string{"W/" + tag, `"other", ` + tag} {
+		req := httptest.NewRequest(http.MethodGet, "/replica/v1/snapshot", nil)
+		req.Header.Set("If-None-Match", header)
+		rec := httptest.NewRecorder()
+		leader.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
+			t.Errorf("If-None-Match %s = %d with %d body bytes, want 304 and none", header, rec.Code, rec.Body.Len())
+		}
+	}
+}
+
 // TestLeaderSnapshotEndpoint pins the wire contract of /replica/v1/:
 // 503 before the first publish, then an ETagged snapshot that decodes
 // to the published generation, 304 on If-None-Match, and a long-poll

@@ -167,19 +167,16 @@ var handlerTotal = obs.Default().Counter("pdcu_site_handler_total",
 	"Site handler responses by outcome (ok, not_modified, not_found, method_not_allowed).",
 	"result")
 
-// Handler serves the built site over HTTP for local preview. Only GET
-// and HEAD are accepted (the site is static); HEAD responses carry the
-// same headers, including Content-Length, without a body. Every page is
-// served with a strong ETag derived from its content hash, and a
-// matching If-None-Match short-circuits to 304 Not Modified.
+// Handler serves the built site over HTTP for local preview. An unknown
+// path is a 404 whatever the method, so every unknown URL lands in the
+// HTTP middleware's one not-found series instead of minting a path
+// label. Only GET and HEAD are accepted (the site is static);
+// HEAD responses carry the same headers, including Content-Length,
+// without a body. Every page is served with a strong ETag derived from
+// its content hash, and a matching If-None-Match short-circuits to 304
+// Not Modified.
 func (s *Site) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			handlerTotal.With("method_not_allowed").Inc()
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
 		p := strings.TrimPrefix(r.URL.Path, "/")
 		if p == "" {
 			p = "index.html"
@@ -198,6 +195,12 @@ func (s *Site) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			handlerTotal.With("method_not_allowed").Inc()
+			w.Header().Set("Allow", "GET, HEAD")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
 		switch {
 		case strings.HasSuffix(p, ".css"):
 			w.Header().Set("Content-Type", "text/css; charset=utf-8")
@@ -208,7 +211,7 @@ func (s *Site) Handler() http.Handler {
 		}
 		if etag := s.etags[p]; etag != "" {
 			w.Header().Set("ETag", etag)
-			if etagMatch(r.Header.Get("If-None-Match"), etag) {
+			if ETagMatch(r.Header.Get("If-None-Match"), etag) {
 				handlerTotal.With("not_modified").Inc()
 				w.WriteHeader(http.StatusNotModified)
 				return
@@ -225,10 +228,11 @@ func (s *Site) Handler() http.Handler {
 	})
 }
 
-// etagMatch implements the If-None-Match comparison: a wildcard or any
-// listed tag matches, and weak-validator prefixes compare equal (weak
-// comparison is what the 304 path requires).
-func etagMatch(header, etag string) bool {
+// ETagMatch implements the If-None-Match comparison every conditional
+// GET in the server uses: a wildcard or any listed tag matches, and
+// weak-validator prefixes compare equal (weak comparison is what the 304
+// path requires).
+func ETagMatch(header, etag string) bool {
 	if header == "" {
 		return false
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pdcunplugged/internal/curation"
+	"pdcunplugged/internal/obs"
 )
 
 func builtSite(t *testing.T) *Site {
@@ -338,6 +339,34 @@ func TestHandlerMethods(t *testing.T) {
 		}
 		if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
 			t.Errorf("%s Allow = %q, want \"GET, HEAD\"", method, allow)
+		}
+	}
+}
+
+// TestUnknownPathAnyMethodIsNotFound: the handler resolves the page
+// before it checks the method, so a POST to an unknown path is a 404 and
+// lands in the HTTP middleware's one not-found series instead of minting
+// a path label per URL.
+func TestUnknownPathAnyMethodIsNotFound(t *testing.T) {
+	obs.SetLogger(obs.NewLogger(io.Discard)) // every 404 is access-logged
+	defer obs.SetLogger(nil)
+	reg := obs.NewRegistry()
+	h := obs.NewHTTPMetrics(reg).WithTracer(nil).Wrap(builtSite(t).Handler())
+	for i := 1; i <= 50; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/nope-"+strconv.Itoa(i), nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("POST /nope-%d = %d, want 404", i, rec.Code)
+		}
+	}
+	for _, family := range []string{
+		"pdcu_http_requests_total",
+		"pdcu_http_request_duration_seconds",
+		"pdcu_http_response_bytes_total",
+	} {
+		series := reg.Snapshot(family)
+		if len(series) != 1 || series[0].Labels["path"] != obs.NotFoundRoute {
+			t.Errorf("%s series = %+v, want one under path=%q", family, series, obs.NotFoundRoute)
 		}
 	}
 }
