@@ -64,11 +64,13 @@ bench-index-record:
 	PDCU_BENCH_SEARCH_RECORD=1 $(GO) test -run=TestSearchBenchGate -count=1 -v .
 
 # Flake hunt: the packages with timers, watchers, replication, live
-# servers and process-wide metric state, twenty times over in shuffled
-# order under the race detector. A test that fails here once in twenty
-# fails tier-1 runs too. Slow, so not part of check.
+# servers, concurrently ended trace spans and process-wide metric state,
+# twenty times over in shuffled order under the race detector. A test
+# that fails here once in twenty fails tier-1 runs too. Slow, so not
+# part of check.
 STRESS_PKGS = ./internal/watch ./internal/engine ./internal/replica ./internal/obs \
-	./internal/loadgen ./internal/obs/fleet ./internal/query ./internal/obs/trace ./cmd/pdcu
+	./internal/loadgen ./internal/obs/fleet ./internal/query ./internal/obs/trace \
+	./internal/site ./cmd/pdcu
 
 stress:
 	$(GO) test -race -shuffle=on -count=20 $(STRESS_PKGS)

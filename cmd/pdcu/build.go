@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"pdcunplugged/internal/engine"
@@ -42,23 +43,31 @@ func cmdBuild(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "built %d pages from %d activities into %s (%d jobs, %d workers, generation %s)\n",
 		gen.Site.Len(), gen.Repo.Len(), cfg.Out, st.Jobs, st.Workers, gen.ID)
 	if cfg.Verbose {
-		printPhaseTimings(w)
+		printPhaseTable(w, obs.Default().Snapshot("pdcu_phase_seconds"))
 	}
 	return nil
 }
 
-// printPhaseTimings renders the span histogram collected during this
-// process as the `build -verbose` phase breakdown.
-func printPhaseTimings(w io.Writer) {
-	timings := obs.PhaseTimings()
-	if len(timings) == 0 {
+// printPhaseTable renders the pdcu_phase_seconds series as the `build
+// -verbose` phase breakdown, by total time descending. Totals come from
+// the histogram's float-seconds sum and are rounded to whole
+// microseconds, which absorbs the sum's float error.
+func printPhaseTable(w io.Writer, phases []obs.SeriesSnapshot) {
+	if len(phases) == 0 {
 		return
 	}
+	sort.Slice(phases, func(i, j int) bool {
+		if phases[i].Sum != phases[j].Sum {
+			return phases[i].Sum > phases[j].Sum
+		}
+		return phases[i].Labels["phase"] < phases[j].Labels["phase"]
+	})
 	tb := report.New("PHASE TIMINGS", "Phase", "Calls", "Total", "Mean")
-	for _, pt := range timings {
-		tb.AddRow(pt.Phase, pt.Count,
-			pt.Total.Round(time.Microsecond).String(),
-			pt.Mean().Round(time.Microsecond).String())
+	for _, p := range phases {
+		total := time.Duration(p.Sum * float64(time.Second))
+		tb.AddRow(p.Labels["phase"], p.Count,
+			total.Round(time.Microsecond).String(),
+			(total / time.Duration(p.Count)).Round(time.Microsecond).String())
 	}
 	fmt.Fprint(w, tb.String())
 }

@@ -67,11 +67,10 @@ func TestFleetObsSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fol := &replica.Follower{
-		Eng:    folEng,
-		Base:   leaderSrv.URL,
-		Node:   "fleet-f1",
-		Self:   folSrv.URL,
-		Tracer: folEng.Tracer(),
+		Eng:  folEng,
+		Base: leaderSrv.URL,
+		Node: "fleet-f1",
+		Self: folSrv.URL,
 	}
 	folEng.SetReadyExtra(func() map[string]any {
 		return map[string]any{"role": "follower", "replica_lag": fol.Lag()}

@@ -16,7 +16,6 @@ import (
 	"pdcunplugged/internal/engine"
 	"pdcunplugged/internal/obs"
 	"pdcunplugged/internal/obs/fleet"
-	"pdcunplugged/internal/obs/trace"
 	"pdcunplugged/internal/replica"
 )
 
@@ -47,7 +46,6 @@ func cmdServe(args []string, w io.Writer) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	obs.SetLevel(cfg.SlogLevel())
-	trace.SetDefault(eng.Tracer())
 	log := obs.Logger()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -81,12 +79,11 @@ func cmdServe(args []string, w io.Writer) error {
 		replica.SetRole("follower")
 		host, _ := os.Hostname()
 		fol := &replica.Follower{
-			Eng:    eng,
-			Base:   strings.TrimRight(cfg.Follow, "/"),
-			Node:   fmt.Sprintf("%s-%d", host, os.Getpid()),
-			Dir:    cfg.SnapshotDir,
-			Self:   cfg.Advertise,
-			Tracer: eng.Tracer(),
+			Eng:  eng,
+			Base: strings.TrimRight(cfg.Follow, "/"),
+			Node: fmt.Sprintf("%s-%d", host, os.Getpid()),
+			Dir:  cfg.SnapshotDir,
+			Self: cfg.Advertise,
 		}
 		// Fleet observability from the follower's seat: federated
 		// metrics label this node by its follower name, the leader is

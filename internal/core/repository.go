@@ -5,6 +5,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -79,7 +80,7 @@ func New(acts []*activity.Activity) (*Repository, error) {
 		r.sources = append(r.sources, src)
 	}
 	sort.Strings(r.sources)
-	ixSpan := obs.StartSpan("repo.index")
+	_, ixSpan := obs.StartSpan(context.Background(), "repo.index")
 	ix, err := taxonomy.Build(taxonomy.Standard(), entries)
 	ixSpan.End()
 	if err != nil {
@@ -91,7 +92,7 @@ func New(acts []*activity.Activity) (*Repository, error) {
 
 // Load parses raw Markdown files (slug -> content) into a repository.
 func Load(files map[string]string) (*Repository, error) {
-	parseSpan := obs.StartSpan("repo.parse")
+	_, parseSpan := obs.StartSpan(context.Background(), "repo.parse")
 	var acts []*activity.Activity
 	slugs := make([]string, 0, len(files))
 	for slug := range files {
@@ -113,7 +114,7 @@ func Load(files map[string]string) (*Repository, error) {
 // LoadFS reads every .md file under dir in fsys (the content/activities
 // folder of the paper's GitHub layout) and builds a repository.
 func LoadFS(fsys fs.FS, dir string) (*Repository, error) {
-	walkSpan := obs.StartSpan("repo.walk")
+	_, walkSpan := obs.StartSpan(context.Background(), "repo.walk")
 	files := map[string]string{}
 	err := fs.WalkDir(fsys, dir, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {

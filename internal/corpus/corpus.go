@@ -9,6 +9,7 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -135,7 +136,7 @@ func LoadAll(sources ...Source) (*core.Repository, error) {
 			return nil, fmt.Errorf("corpus: duplicate source name %q", name)
 		}
 		seen[name] = true
-		span := obs.StartSpan("corpus.load." + name)
+		_, span := obs.StartSpan(context.Background(), "corpus.load."+name)
 		loaded, err := s.Load()
 		span.End()
 		if err != nil {

@@ -218,7 +218,8 @@ func New(cfg Config) (*Engine, error) {
 // Config returns the engine's resolved configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Tracer returns the engine's tracer (for trace.SetDefault wiring).
+// Tracer returns the engine's tracer: the one its HTTP middleware,
+// rebuild traces and replication follower record into.
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // StartedAt is when the engine was constructed (process uptime anchor).
@@ -251,7 +252,7 @@ func (e *Engine) Subscribe(fn func(*Generation)) {
 // curation when none are configured. It is the single repository entry
 // point shared by `pdcu build`, `pdcu serve`, and `pdcu search`.
 func (e *Engine) Load(ctx context.Context) (*core.Repository, error) {
-	_, span := trace.StartSpan(ctx, "engine.load")
+	_, span := obs.StartSpan(ctx, "engine.load")
 	var repo *core.Repository
 	sources, err := e.cfg.CorpusSources()
 	if err == nil {

@@ -2,12 +2,16 @@ package engine
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pdcunplugged/internal/curation"
 	"pdcunplugged/internal/obs"
+	"pdcunplugged/internal/obs/trace"
 )
 
 // smallCorpus writes a handful of curated activities to a temp dir, so
@@ -220,4 +224,99 @@ func publishCount(t *testing.T) uint64 {
 		return 0
 	}
 	return snaps[0].Count
+}
+
+// phaseCounts reads the observation count of every pdcu_phase_seconds
+// series, by phase label.
+func phaseCounts() map[string]uint64 {
+	out := map[string]uint64{}
+	for _, s := range obs.Default().Snapshot("pdcu_phase_seconds") {
+		out[s.Labels["phase"]] = s.Count
+	}
+	return out
+}
+
+// TestOneNamePerLayer: each timed layer of a publish and of a request
+// has one name, shared by its pdcu_phase_seconds series and its span in
+// the trace, and no phase label carries a page path or a job id.
+func TestOneNamePerLayer(t *testing.T) {
+	e := newTestEngine(t, nil)
+	before := phaseCounts()
+	gen, err := e.Rebuild(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reqTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/search?q=sorting", nil)
+	req.Header.Set("Traceparent", "00-"+reqTrace+"-00f067aa0ba902b7-01")
+	rec := httptest.NewRecorder()
+	e.Mux().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("search = %d: %s", rec.Code, rec.Body)
+	}
+	after := phaseCounts()
+
+	spans := func(id string) map[string][]trace.SpanData {
+		t.Helper()
+		tid, err := trace.ParseTraceID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, ok := e.Tracer().Store().Get(tid)
+		if !ok {
+			t.Fatalf("trace %s not retained", id)
+		}
+		byName := map[string][]trace.SpanData{}
+		for _, s := range d.Spans {
+			byName[s.Name] = append(byName[s.Name], s)
+		}
+		return byName
+	}
+	rebuild, request := spans(gen.TraceID), spans(reqTrace)
+
+	layers := map[string]map[string][]trace.SpanData{
+		"engine.load":        rebuild,
+		"site.build":         rebuild,
+		"search.build_index": rebuild,
+		"query.ratelimit":    request,
+		"query.cache":        request,
+		"query.search":       request,
+	}
+	jobs := 0
+	for name, ss := range rebuild {
+		if strings.HasPrefix(name, "site.job.") {
+			layers[name] = rebuild
+			for _, s := range ss {
+				jobs++
+				if !hasAttr(s, "job") {
+					t.Errorf("%s span lacks its job attribute: %+v", name, s.Attrs)
+				}
+			}
+		}
+	}
+	if jobs == 0 {
+		t.Error("rebuild trace has no site.job.<stage> spans")
+	}
+	for name, tr := range layers {
+		if after[name] <= before[name] {
+			t.Errorf("pdcu_phase_seconds{phase=%q} did not grow (%d -> %d)", name, before[name], after[name])
+		}
+		if len(tr[name]) == 0 {
+			t.Errorf("no %s span in its trace", name)
+		}
+	}
+	for phase := range after {
+		if strings.Contains(phase, "/") {
+			t.Errorf("phase label %q carries a page path or job id", phase)
+		}
+	}
+}
+
+func hasAttr(s trace.SpanData, key string) bool {
+	for _, a := range s.Attrs {
+		if a.Key == key && a.Value != "" {
+			return true
+		}
+	}
+	return false
 }

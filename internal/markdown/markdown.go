@@ -11,9 +11,9 @@
 package markdown
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"pdcunplugged/internal/obs"
 )
@@ -24,15 +24,15 @@ import (
 // Render's output can change for the same input.
 const EngineVersion = "md/1"
 
-// Render converts Markdown source to HTML. Each call feeds the
-// markdown.render phase histogram without logging — rendering runs once
-// per activity section, so a log line per call would be noise.
+// Render converts Markdown source to HTML. Each call is timed as the
+// metric-only markdown.render span: rendering runs once per activity
+// section, so a trace span per call would crowd a rebuild trace.
 func Render(src string) string {
-	start := time.Now()
+	_, span := obs.StartSpan(context.Background(), "markdown.render")
 	var b strings.Builder
 	p := &parser{lines: splitLines(src)}
 	p.blocks(&b, 0)
-	obs.ObservePhase("markdown.render", time.Since(start))
+	span.End()
 	return b.String()
 }
 

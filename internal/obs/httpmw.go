@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,17 +21,13 @@ import (
 // the caller's trace, anything else starts a fresh root span, and the
 // response carries a traceparent header so clients can fetch the
 // waterfall from /debug/obs/traces/<id>.
-//
-// Construct with NewHTTPMetrics against a specific registry (tests), or
-// use the package-level Middleware which shares the default registry
-// and the default tracer.
 type HTTPMetrics struct {
 	requests *Counter
 	duration *Histogram
 	inflight *Gauge
 	bytes    *Counter
 	log      func() *slog.Logger
-	tracer   func() *trace.Tracer
+	tracer   *trace.Tracer // nil: untraced
 	logAttrs func() []any
 
 	// logEvery samples the access log: 1 logs every request, N logs
@@ -46,9 +41,8 @@ type HTTPMetrics struct {
 	logged    *Counter
 }
 
-// NewHTTPMetrics registers the HTTP metric families on reg. Tracing
-// follows the process-default tracer (trace.SetDefault); pin a specific
-// one with WithTracer.
+// NewHTTPMetrics registers the HTTP metric families on reg. The
+// middleware traces nothing until WithTracer gives it a tracer.
 func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 	return &HTTPMetrics{
 		requests: reg.Counter("pdcu_http_requests_total",
@@ -62,15 +56,14 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 		logged: reg.Counter("pdcu_http_access_log_total",
 			"Access-log lines, by decision (logged, sampled_out).", "decision"),
 		log:      Logger,
-		tracer:   trace.Default,
 		logEvery: 1,
 	}
 }
 
-// WithTracer pins the middleware to one tracer instead of the process
-// default; passing nil disables tracing on this middleware.
+// WithTracer records the middleware's request traces in t; nil
+// disables tracing.
 func (m *HTTPMetrics) WithTracer(t *trace.Tracer) *HTTPMetrics {
-	m.tracer = func() *trace.Tracer { return t }
+	m.tracer = t
 	return m
 }
 
@@ -113,17 +106,6 @@ func (m *HTTPMetrics) shouldLog(code int, pinned bool) bool {
 	return m.logCursor.Add(1)%m.logEvery == 1
 }
 
-var (
-	defaultHTTPOnce sync.Once
-	defaultHTTP     *HTTPMetrics
-)
-
-// Middleware wraps next with the default-registry HTTP instrumentation.
-func Middleware(next http.Handler) http.Handler {
-	defaultHTTPOnce.Do(func() { defaultHTTP = NewHTTPMetrics(Default()) })
-	return defaultHTTP.Wrap(next)
-}
-
 // Wrap returns next instrumented with m's metrics, tracing, panic
 // recovery, and access logging.
 func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
@@ -142,7 +124,7 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 		// the pre-canonicalized "Traceparent" key skips the per-request
 		// canonicalization alloc of Header.Get.
 		var sp *trace.Span
-		tr := m.tracer()
+		tr := m.tracer
 		if tr != nil {
 			var sctx context.Context
 			if v := r.Header["Traceparent"]; len(v) > 0 {

@@ -27,8 +27,8 @@ func NewLogger(w io.Writer) *slog.Logger {
 }
 
 // Logger returns the package logger. The default logs to stderr at Info;
-// span completions log at Debug, so they are silent unless SetLevel
-// lowers the threshold (e.g. `pdcu build -verbose`).
+// Debug lines (per-build summaries) are silent unless SetLevel lowers
+// the threshold (e.g. `pdcu build -verbose`).
 func Logger() *slog.Logger { return current.Load() }
 
 // SetLogger swaps the package logger; safe for concurrent use. Passing

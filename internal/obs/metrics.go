@@ -2,9 +2,10 @@
 // a concurrent-safe metrics registry (counters, gauges, fixed-bucket
 // histograms, all with label support) with Prometheus-style text
 // exposition, structured logging built on log/slog with a swappable
-// package-level logger, span/timer helpers that feed a phase-duration
-// histogram, and HTTP server middleware recording per-route request
-// counts, status codes, and latency.
+// package-level logger, the one span API every timed layer uses (it
+// feeds a phase-duration histogram and, while a trace records, the
+// trace), and HTTP server middleware recording per-route request counts,
+// status codes, and latency.
 //
 // Everything in this package uses only the standard library, so the rest
 // of the codebase can instrument itself freely without pulling in a
@@ -83,8 +84,8 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry used by the package-level
-// span helpers and HTTP middleware.
+// Default returns the process-wide registry that spans and the
+// package-level metric families record into.
 func Default() *Registry { return defaultRegistry }
 
 // family is one named metric with a fixed kind and label schema; its

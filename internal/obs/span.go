@@ -1,125 +1,48 @@
 package obs
 
 import (
-	"sort"
-	"sync"
+	"context"
 	"time"
+
+	"pdcunplugged/internal/obs/trace"
 )
 
-// phaseSeconds is the shared duration histogram every span and
-// ObservePhase call feeds; `pdcu build -verbose` and /metrics both read
-// from it.
-func phaseSeconds() *Histogram {
-	return Default().Histogram("pdcu_phase_seconds",
-		"Duration of instrumented pipeline phases.", DefBuckets(), "phase")
-}
+// phaseSeconds is the duration histogram every span feeds, one series
+// per layer name; /metrics and `pdcu build -verbose` both read it.
+var phaseSeconds = Default().Histogram("pdcu_phase_seconds",
+	"Duration of instrumented pipeline, request and replication layers.", DefBuckets(), "phase")
 
-// phaseExact accumulates per-phase totals as exact time.Durations. The
-// histogram stores observations as float seconds, and reconstructing a
-// total from its Sum rounds through the float — enough to drift a
-// many-span build report by whole microseconds — so PhaseTimings reads
-// from this side table instead of round-tripping the histogram.
-var phaseExact = struct {
-	sync.Mutex
-	m map[string]*phaseAcc
-}{m: make(map[string]*phaseAcc)}
-
-type phaseAcc struct {
-	count uint64
-	total time.Duration
-}
-
-func recordPhase(name string, d time.Duration) {
-	phaseSeconds().With(name).Observe(d.Seconds())
-	phaseExact.Lock()
-	acc := phaseExact.m[name]
-	if acc == nil {
-		acc = &phaseAcc{}
-		phaseExact.m[name] = acc
-	}
-	acc.count++
-	acc.total += d
-	phaseExact.Unlock()
-}
-
-// Span is an in-flight timed region. Create with StartSpan; End records
-// the duration and emits a Debug log line.
+// Span is one timed region of the pipeline under its layer name. End
+// always records the duration in pdcu_phase_seconds{phase=name}; when
+// the context the span started from carried a recording trace, the span
+// is also a child span of that trace, so a layer has one name in the
+// metric and in the waterfall.
 type Span struct {
 	name  string
 	start time.Time
-	done  bool
+	child *trace.Span // nil unless the parent context was recording
 }
 
-// StartSpan begins timing a named pipeline phase (e.g. "site.build",
-// "repo.parse"). Spans record into the default registry's
-// pdcu_phase_seconds histogram under the phase label.
-func StartSpan(name string) *Span {
-	return &Span{name: name, start: time.Now()}
+// StartSpan begins timing the layer name ("engine.load", "query.cache",
+// "site.job.activity"). The returned context carries the trace child
+// when there is one, so nested spans parent under it; otherwise it is
+// ctx itself. Pass context.Background() for metric-only spans on hot
+// paths that must not add spans to a trace.
+func StartSpan(ctx context.Context, name string) (context.Context, Span) {
+	ctx, child := trace.StartSpan(ctx, name)
+	return ctx, Span{name: name, start: time.Now(), child: child}
 }
 
-// End stops the span, records its duration, logs it at Debug, and
-// returns the duration. Repeated calls are no-ops returning zero.
-func (s *Span) End() time.Duration {
-	if s == nil || s.done {
-		return 0
-	}
-	s.done = true
-	d := time.Since(s.start)
-	recordPhase(s.name, d)
-	Logger().Debug("phase complete", "phase", s.name, "duration", d)
-	return d
-}
+// SetAttr annotates the trace child; a no-op when nothing records.
+func (s Span) SetAttr(key, value string) { s.child.SetAttr(key, value) }
 
-// ObservePhase records a pre-measured duration under a phase name
-// without logging — for hot paths (per-fragment markdown rendering)
-// where a Debug line per call would drown the log.
-func ObservePhase(name string, d time.Duration) {
-	recordPhase(name, d)
-}
+// FailErr marks the trace child failed (a nil error is a no-op), which
+// pins its trace.
+func (s Span) FailErr(err error) { s.child.FailErr(err) }
 
-// Time runs fn inside a span, ending it even when fn returns an error.
-func Time(name string, fn func() error) error {
-	sp := StartSpan(name)
-	defer sp.End()
-	return fn()
-}
-
-// PhaseTiming summarizes one phase's recorded spans.
-type PhaseTiming struct {
-	Phase string
-	Count uint64
-	Total time.Duration
-}
-
-// Mean returns the average span duration, or zero when no spans ran.
-func (p PhaseTiming) Mean() time.Duration {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.Total / time.Duration(p.Count)
-}
-
-// PhaseTimings reports every phase recorded through StartSpan/End,
-// ObservePhase, or Time, sorted by total time descending; `pdcu build
-// -verbose` prints this. Totals come from the exact duration
-// accumulator, not the histogram's float-seconds Sum, so they are
-// nanosecond-faithful sums of the observed durations.
-func PhaseTimings() []PhaseTiming {
-	phaseExact.Lock()
-	out := make([]PhaseTiming, 0, len(phaseExact.m))
-	for name, acc := range phaseExact.m {
-		out = append(out, PhaseTiming{
-			Phase: name,
-			Count: acc.count,
-			Total: acc.total,
-		})
-	}
-	phaseExact.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Phase < out[j].Phase
-	})
-	return out
+// End records the span's duration and ends its trace child. Call it
+// once: each call is one observation.
+func (s Span) End() {
+	phaseSeconds.With(s.name).Observe(time.Since(s.start).Seconds())
+	s.child.End()
 }

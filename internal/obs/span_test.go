@@ -2,30 +2,33 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"log/slog"
 	"strings"
 	"testing"
 	"time"
+
+	"pdcunplugged/internal/obs/trace"
 )
 
-// phaseTiming reads one phase's accumulated timing from the
-// process-wide registry; zero when the phase never ran. Tests compare
-// readings before and after they record, so repeated runs (-count=N)
-// in one process do not read each other's observations.
-func phaseTiming(phase string) PhaseTiming {
-	for _, pt := range PhaseTimings() {
-		if pt.Phase == phase {
-			return pt
+// phaseReading reads one phase's observation count and float-seconds
+// sum from the process-wide histogram; zero when the phase never ran.
+// Tests compare readings before and after they record, so repeated runs
+// (-count=N) in one process do not read each other's observations.
+func phaseReading(phase string) (uint64, float64) {
+	for _, s := range Default().Snapshot("pdcu_phase_seconds") {
+		if s.Labels["phase"] == phase {
+			return s.Count, s.Sum
 		}
 	}
-	return PhaseTiming{Phase: phase}
+	return 0, 0
 }
 
-// since returns what was recorded for the phase after the reading before.
-func (pt PhaseTiming) since(before PhaseTiming) PhaseTiming {
-	return PhaseTiming{Phase: pt.Phase, Count: pt.Count - before.Count, Total: pt.Total - before.Total}
-}
-
+// TestSpanRecordsAndLogs: under a recording trace a span is both a
+// pdcu_phase_seconds observation and a child span of the trace, with
+// its attributes and failure passed through. Spans do not log: the same
+// timings are in /metrics, the trace and `pdcu build -verbose`.
 func TestSpanRecordsAndLogs(t *testing.T) {
 	var buf bytes.Buffer
 	old := Logger()
@@ -36,105 +39,76 @@ func TestSpanRecordsAndLogs(t *testing.T) {
 		SetLevel(slog.LevelInfo)
 	}()
 
-	before := phaseTiming("test.span.records")
-	sp := StartSpan("test.span.records")
+	const phase = "test.span.records"
+	tr := trace.New(trace.Options{SampleRate: 1})
+	ctx, root := tr.StartRecorded(context.Background(), "root")
+	beforeN, beforeSum := phaseReading(phase)
+
+	sctx, sp := StartSpan(ctx, phase)
+	if trace.FromContext(sctx) == root {
+		t.Error("the span's context still carries the root, not the child span")
+	}
+	sp.SetAttr("k", "v")
+	sp.FailErr(errors.New("boom"))
 	time.Sleep(time.Millisecond)
-	d := sp.End()
-	if d <= 0 {
-		t.Fatalf("span duration = %v, want > 0", d)
-	}
-	if again := sp.End(); again != 0 {
-		t.Errorf("second End = %v, want 0", again)
-	}
-	if !strings.Contains(buf.String(), "phase=test.span.records") {
-		t.Errorf("debug log missing span: %q", buf.String())
-	}
+	sp.End()
+	root.End()
 
-	pt := phaseTiming("test.span.records").since(before)
-	if pt.Count != 1 || pt.Total != d {
-		t.Errorf("timing = %+v, want one span of %v", pt, d)
+	n, sum := phaseReading(phase)
+	if n-beforeN != 1 || sum-beforeSum < time.Millisecond.Seconds() {
+		t.Errorf("phase reading +%d calls, +%gs; want one observation of at least 1ms", n-beforeN, sum-beforeSum)
 	}
-	if pt.Mean() != pt.Total {
-		t.Errorf("mean = %v, want %v for a single span", pt.Mean(), pt.Total)
+	d, ok := tr.Store().Get(root.TraceID())
+	if !ok {
+		t.Fatal("trace not stored")
 	}
-}
-
-func TestObservePhaseSilent(t *testing.T) {
-	var buf bytes.Buffer
-	old := Logger()
-	SetLogger(NewLogger(&buf))
-	SetLevel(slog.LevelDebug)
-	defer func() {
-		SetLogger(old)
-		SetLevel(slog.LevelInfo)
-	}()
-
-	before := phaseTiming("test.phase.silent")
-	ObservePhase("test.phase.silent", 5*time.Millisecond)
-	ObservePhase("test.phase.silent", 5*time.Millisecond)
-	if strings.Contains(buf.String(), "test.phase.silent") {
-		t.Error("ObservePhase must not log")
-	}
-	pt := phaseTiming("test.phase.silent").since(before)
-	if pt.Count != 2 {
-		t.Errorf("count = %d, want 2", pt.Count)
-	}
-	if pt.Total != 10*time.Millisecond {
-		t.Errorf("total = %v, want 10ms", pt.Total)
-	}
-}
-
-func TestTimeHelper(t *testing.T) {
-	err := Time("test.time.helper", func() error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range PhaseTimings() {
-		if pt.Phase == "test.time.helper" {
-			return
+	var child *trace.SpanData
+	for i := range d.Spans {
+		if d.Spans[i].Name == phase {
+			child = &d.Spans[i]
 		}
 	}
-	t.Error("Time did not record a span")
+	if child == nil {
+		t.Fatalf("trace spans %+v lack %s", d.Spans, phase)
+	}
+	if child.Parent != root.ID() || child.Err != "boom" ||
+		len(child.Attrs) != 1 || child.Attrs[0] != (trace.Attr{Key: "k", Value: "v"}) {
+		t.Errorf("child span = %+v, want parent %v, err boom, attr k=v", *child, root.ID())
+	}
+	if strings.Contains(buf.String(), phase) {
+		t.Errorf("span logged: %q", buf.String())
+	}
 }
 
+// TestNilSpanEnd: without a recording trace a span has a nil trace
+// child; it returns ctx unchanged, its trace-side methods are no-ops,
+// and End still records the phase.
 func TestNilSpanEnd(t *testing.T) {
-	var sp *Span
-	if d := sp.End(); d != 0 {
-		t.Errorf("nil span End = %v, want 0", d)
+	const phase = "test.span.untraced"
+	ctx := context.Background()
+	before, _ := phaseReading(phase)
+	sctx, sp := StartSpan(ctx, phase)
+	if sctx != ctx {
+		t.Error("an untraced span derived a new context")
+	}
+	sp.SetAttr("k", "v")
+	sp.FailErr(errors.New("boom"))
+	sp.End()
+	if n, _ := phaseReading(phase); n-before != 1 {
+		t.Errorf("phase count +%d, want 1", n-before)
 	}
 }
 
-// TestPhaseTimingExactTotal is the regression test for the lossy Total
-// reconstruction: durations used to be recovered from the histogram's
-// float-seconds Sum, so many observations whose float representations
-// don't sum exactly (0.1s is not representable in binary) drifted from
-// the true time.Duration total. The accumulator must return the exact
-// nanosecond sum.
-func TestPhaseTimingExactTotal(t *testing.T) {
-	const phase = "test.span.exact"
-	d := 100 * time.Millisecond // 0.1s: inexact as a float64 of seconds
-	const n = 10
-	before := phaseTiming(phase)
-	for i := 0; i < n; i++ {
-		ObservePhase(phase, d)
-	}
-	// Demonstrate the float path really is lossy for this input — the
-	// bug this test guards against.
-	var fsum float64
-	for i := 0; i < n; i++ {
-		fsum += d.Seconds()
-	}
-	if time.Duration(fsum*float64(time.Second)) == n*d {
-		t.Log("float round-trip happened to be exact; exactness check below still applies")
-	}
-	pt := phaseTiming(phase).since(before)
-	if pt.Count != n {
-		t.Errorf("count = %d, want %d", pt.Count, n)
-	}
-	if pt.Total != n*d {
-		t.Errorf("total = %v (%d ns), want exactly %v", pt.Total, pt.Total, n*d)
-	}
-	if pt.Mean() != d {
-		t.Errorf("mean = %v, want exactly %v", pt.Mean(), d)
+// TestUntracedSpanAllocs: the always-on path of a span (no recording
+// trace) allocates nothing. The histogram family is resolved once, not
+// per End, so request-path spans stay cheap.
+func TestUntracedSpanAllocs(t *testing.T) {
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, sp := StartSpan(ctx, "test.span.allocs")
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Errorf("untraced StartSpan+End = %v allocs, want 0", allocs)
 	}
 }

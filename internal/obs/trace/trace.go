@@ -7,7 +7,9 @@
 //
 // The package is deliberately free of dependencies (including the rest
 // of internal/obs): spans carry their Tracer, so instrumented code needs
-// only a context.Context. Code paths without an active span pay almost
+// only a context.Context. Instrumented code starts child spans through
+// obs.StartSpan, which wraps StartSpan here and also records the layer's
+// duration metric. Code paths without an active span pay almost
 // nothing — StartSpan returns a nil *Span whose methods are all nil-safe
 // no-ops, which is what keeps the sampled-off overhead on the cached
 // query path inside its benchmark budget.
@@ -550,26 +552,4 @@ func isHex(s string) bool {
 		}
 	}
 	return true
-}
-
-// defaultTracer is the process-wide tracer the HTTP middleware and serve
-// wiring share; nil until SetDefault, so library consumers that never
-// serve pay nothing.
-var defaultTracer struct {
-	mu sync.RWMutex
-	t  *Tracer
-}
-
-// SetDefault installs the process-wide tracer (nil disables tracing).
-func SetDefault(t *Tracer) {
-	defaultTracer.mu.Lock()
-	defaultTracer.t = t
-	defaultTracer.mu.Unlock()
-}
-
-// Default returns the process-wide tracer, or nil when tracing is off.
-func Default() *Tracer {
-	defaultTracer.mu.RLock()
-	defer defaultTracer.mu.RUnlock()
-	return defaultTracer.t
 }

@@ -322,18 +322,6 @@ func TestDoubleEndAndLateAttrs(t *testing.T) {
 	}
 }
 
-func TestDefaultTracerSwap(t *testing.T) {
-	if Default() != nil {
-		t.Fatal("default tracer should start nil")
-	}
-	tr, _ := newTestTracer(Options{})
-	SetDefault(tr)
-	defer SetDefault(nil)
-	if Default() != tr {
-		t.Error("SetDefault did not install the tracer")
-	}
-}
-
 func TestTraceparentFormat(t *testing.T) {
 	tr, _ := newTestTracer(Options{})
 	_, root := tr.StartRecorded(context.Background(), "req")

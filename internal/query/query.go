@@ -17,6 +17,7 @@ package query
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -64,6 +65,7 @@ type endpointMetrics struct {
 	hit      *obs.CounterChild
 	miss     *obs.CounterChild
 	shed     *obs.CounterChild
+	render   string // the render span's name, "query.<endpoint>"
 }
 
 func newEndpointMetrics(name string) *endpointMetrics {
@@ -74,6 +76,7 @@ func newEndpointMetrics(name string) *endpointMetrics {
 		hit:      queryCache.With(name, "hit"),
 		miss:     queryCache.With(name, "miss"),
 		shed:     queryShed.With(name),
+		render:   "query." + name,
 	}
 }
 
@@ -104,13 +107,13 @@ func NewSnapshot(repo *core.Repository) *Snapshot {
 }
 
 // NewSnapshotContext is NewSnapshot with trace propagation and an index
-// builder: when ctx carries a span (a -watch rebuild trace), the index
-// build appears as a "search.build_index" child span, and ib reuses the
+// builder: the index build is timed as the "search.build_index" span
+// (a child span when ctx carries a recording trace), and ib reuses the
 // term vectors of activities whose fingerprints its previous build saw
 // (nil builds from scratch).
 func NewSnapshotContext(ctx context.Context, repo *core.Repository, ib *search.Builder) *Snapshot {
 	acts := repo.All()
-	_, sp := trace.StartSpan(ctx, "search.build_index")
+	_, sp := obs.StartSpan(ctx, "search.build_index")
 	sp.SetAttr("activities", strconv.Itoa(len(acts)))
 	ix := ib.Build(acts, repo.ActivityFingerprint)
 	sp.End()
@@ -237,12 +240,16 @@ type renderFn func(snap *Snapshot) any
 // cache key plus the renderer; a non-nil error is a 400.
 type parseFn func(v url.Values) (key string, render renderFn, err error)
 
+// errShed fails the admission span of a request the rate limiter shed.
+var errShed = errors.New("shed")
+
 // handle wraps one endpoint with the full serving stack: method check,
 // admission control, generation-keyed cache, and negotiated write. Each
-// stage runs under its own trace span when the request carries one (the
-// obs HTTP middleware puts the root span in the request context), and
-// the endpoint latency is recorded with an exemplar linking its
-// histogram bucket back to the trace.
+// stage is timed as its own span, which is also a trace span when the
+// request carries a recording trace (the obs HTTP middleware puts the
+// root span in the request context), and the endpoint latency is
+// recorded with an exemplar linking its histogram bucket back to the
+// trace.
 func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 	em := endpointMetricsFor[name]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -258,10 +265,10 @@ func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 			writeError(w, name, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
-		_, rlSpan := trace.StartSpan(ctx, "query.ratelimit")
+		_, rlSpan := obs.StartSpan(ctx, "query.ratelimit")
 		ok, retry := s.limiter.take()
 		if !ok {
-			rlSpan.Fail("shed")
+			rlSpan.FailErr(errShed)
 			rlSpan.End()
 			em.shed.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry.Seconds()))))
@@ -284,7 +291,7 @@ func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 		// conditional revalidation attributed) by header alone.
 		w.Header().Set("Pdcu-Generation", snap.Generation)
 		full := name + "\x00" + snap.Generation + "\x00" + key
-		_, cSpan := trace.StartSpan(ctx, "query.cache")
+		_, cSpan := obs.StartSpan(ctx, "query.cache")
 		cSpan.SetAttr("generation", snap.Generation)
 		entry, hit := s.cache.get(full)
 		if hit {
@@ -297,7 +304,7 @@ func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 			em.hit.Inc()
 		} else {
 			em.miss.Inc()
-			_, rSpan := trace.StartSpan(ctx, "query."+name)
+			_, rSpan := obs.StartSpan(ctx, em.render)
 			entry = encodeEntry(render(snap))
 			s.cache.put(full, entry)
 			rSpan.End()

@@ -35,7 +35,11 @@ var (
 // failures back off exponentially with jitter; a corrupt or stale
 // snapshot is dropped and the currently-served generation stays live.
 type Follower struct {
-	// Eng is the engine whose publish pointer the follower drives.
+	// Eng is the engine whose publish pointer the follower drives. Its
+	// tracer records one trace per fetch cycle; the trace's traceparent
+	// travels on the snapshot request, so the leader's serve-side span
+	// lands in the same trace, the cross-node half the dashboard
+	// stitches back together.
 	Eng *engine.Engine
 	// Base is the leader's base URL (scheme://host[:port]).
 	Base string
@@ -51,12 +55,6 @@ type Follower struct {
 	// Client is the HTTP client; nil selects a client whose timeout
 	// accommodates the long poll.
 	Client *http.Client
-	// Tracer records the per-cycle fetch traces; nil selects
-	// trace.Default(). Each fetch cycle roots a recorded trace whose
-	// traceparent travels on the snapshot request, so the leader's
-	// serve-side span lands in the same trace — the cross-node half the
-	// dashboard stitches back together.
-	Tracer *trace.Tracer
 
 	etag string
 	lag  atomic.Int64
@@ -68,13 +66,6 @@ func (f *Follower) Lag() int64 { return f.lag.Load() }
 func (f *Follower) setLag(v int64) {
 	f.lag.Store(v)
 	replicaLag.Set(float64(v))
-}
-
-func (f *Follower) tracer() *trace.Tracer {
-	if f.Tracer != nil {
-		return f.Tracer
-	}
-	return trace.Default()
 }
 
 // pollTimeout is the long-poll window the follower requests; the HTTP
@@ -127,7 +118,7 @@ func (f *Follower) fetchOnce(ctx context.Context, client *http.Client) (err erro
 	done := fetchDuration.With().Timer()
 	defer done()
 
-	ctx, root := f.tracer().StartRecorded(ctx, "replica.fetch")
+	ctx, root := f.Eng.Tracer().StartRecorded(ctx, "replica.fetch")
 	root.SetAttr("leader", f.Base)
 	defer func() {
 		root.FailErr(err)
@@ -146,8 +137,8 @@ func (f *Follower) fetchOnce(ctx context.Context, client *http.Client) (err erro
 	if f.etag != "" {
 		req.Header.Set("If-None-Match", f.etag)
 	}
-	_, hs := trace.StartSpan(ctx, "replica.fetch.http")
-	if tp := hs.Traceparent(); tp != "" {
+	hctx, hs := obs.StartSpan(ctx, "replica.fetch.http")
+	if tp := trace.FromContext(hctx).Traceparent(); tp != "" {
 		req.Header.Set("Traceparent", tp)
 	}
 	resp, err := client.Do(req)
@@ -180,14 +171,14 @@ func (f *Follower) fetchOnce(ctx context.Context, client *http.Client) (err erro
 		return err
 	}
 	fetchBytes.Add(float64(len(data)))
-	_, ds := trace.StartSpan(ctx, "replica.decode")
+	_, ds := obs.StartSpan(ctx, "replica.decode")
 	gen, err := Decode(data)
 	ds.FailErr(err)
 	ds.End()
 	if err != nil {
 		return fmt.Errorf("snapshot rejected: %w", err)
 	}
-	_, as := trace.StartSpan(ctx, "replica.adopt")
+	_, as := obs.StartSpan(ctx, "replica.adopt")
 	adopted := f.Eng.Adopt(gen)
 	as.End()
 	if !adopted {

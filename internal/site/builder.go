@@ -9,7 +9,6 @@ import (
 
 	"pdcunplugged/internal/core"
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/trace"
 )
 
 var (
@@ -93,15 +92,14 @@ func (b *Builder) Build(repo *core.Repository) (*Site, error) {
 	return b.BuildContext(context.Background(), repo)
 }
 
-// BuildContext is Build with trace propagation: when ctx carries a span
-// (a -watch rebuild trace), the build appears as a "site.build" child
-// with one grandchild span per re-rendered job, so the waterfall shows
-// which pages a rebuild actually spent its time on.
+// BuildContext is Build with trace propagation: the build is timed as
+// the "site.build" span, with one "site.job.<stage>" span per
+// re-rendered job. When ctx carries a recording trace (a rebuild trace),
+// they appear in its waterfall, which shows which pages a rebuild
+// actually spent its time on.
 func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Site, error) {
-	total := obs.StartSpan("site.build")
-	defer total.End()
-	ctx, tSpan := trace.StartSpan(ctx, "site.build")
-	defer tSpan.End()
+	ctx, span := obs.StartSpan(ctx, "site.build")
+	defer span.End()
 	start := time.Now()
 
 	kind := "full"
@@ -110,7 +108,7 @@ func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Sit
 		kind = "incremental"
 	}
 	b.mu.Unlock()
-	tSpan.SetAttr("kind", kind)
+	span.SetAttr("kind", kind)
 	defer rebuildSeconds.With(kind).Timer()()
 
 	jobs := planJobs(repo)
@@ -148,7 +146,7 @@ func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Sit
 		pageCount += len(results[i].pages)
 	}
 
-	tSpan.SetAttr("jobs", strconv.Itoa(len(jobs)))
+	span.SetAttr("jobs", strconv.Itoa(len(jobs)))
 	stats := BuildStats{Jobs: len(jobs), Workers: workers}
 	pages := make(map[string][]byte, pageCount)
 	b.mu.Lock()
@@ -186,7 +184,8 @@ func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Sit
 // runJob serves one job from the cache when its fingerprint is
 // unchanged, and renders it otherwise. Cache hits stay span-free (a
 // rebuild touching nothing would otherwise drown the waterfall in
-// zero-length bars); re-rendered jobs each get a child span.
+// zero-length bars); re-rendered jobs each get a span named by stage,
+// so the phase label stays bounded and the job id is an attribute.
 func (b *Builder) runJob(ctx context.Context, repo *core.Repository, j job) jobResult {
 	b.mu.Lock()
 	entry, ok := b.cache[j.id]
@@ -200,12 +199,10 @@ func (b *Builder) runJob(ctx context.Context, repo *core.Repository, j job) jobR
 	busy := workersBusy.With(j.stage)
 	busy.Inc()
 	defer busy.Dec()
-	_, jSpan := trace.StartSpan(ctx, "site.job."+j.id)
-	jSpan.SetAttr("stage", j.stage)
-	start := time.Now()
+	_, jSpan := obs.StartSpan(ctx, "site.job."+j.stage)
+	jSpan.SetAttr("job", j.id)
 	rn := newRenderer(repo)
 	err := j.render(rn)
-	obs.ObservePhase("site.job."+j.stage, time.Since(start))
 	if err != nil {
 		jSpan.FailErr(err)
 		jSpan.End()

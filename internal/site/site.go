@@ -13,6 +13,7 @@
 package site
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -79,7 +80,8 @@ func (s *Site) ETag(path string) string { return s.etags[path] }
 // site no longer generates are swept away afterwards, along with any
 // directories the sweep empties.
 func (s *Site) WriteTo(dir string) error {
-	defer obs.StartSpan("site.write").End()
+	_, span := obs.StartSpan(context.Background(), "site.write")
+	defer span.End()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("site: %w", err)
 	}
