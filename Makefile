@@ -64,25 +64,28 @@ bench-index-record:
 	PDCU_BENCH_SEARCH_RECORD=1 $(GO) test -run=TestSearchBenchGate -count=1 -v .
 
 # Flake hunt: the packages with timers, watchers, replication, live
-# servers, concurrently ended trace spans and process-wide metric state,
+# servers, concurrently ended trace spans, process-wide metric state and
+# activities shared across generations by the corpus memo,
 # twenty times over in shuffled order under the race detector. A test
 # that fails here once in twenty fails tier-1 runs too. Slow, so not
 # part of check.
 STRESS_PKGS = ./internal/watch ./internal/engine ./internal/replica ./internal/obs \
 	./internal/loadgen ./internal/obs/fleet ./internal/query ./internal/obs/trace \
-	./internal/site ./cmd/pdcu
+	./internal/site ./internal/corpus ./internal/core ./cmd/pdcu
 
 stress:
 	$(GO) test -race -shuffle=on -count=20 $(STRESS_PKGS)
 
-# Short native-fuzzing burst over the tokenizer and the query paths:
-# catches panics and broken invariants on adversarial input without a
-# long campaign. Corpus findings land in testdata/fuzz and become
+# Short native-fuzzing burst over the tokenizer, the query paths, the
+# snapshot decoder and the canonical activity render (held to its
+# string-building oracle): catches panics and broken invariants on
+# adversarial input without a long campaign. Corpus findings land in testdata/fuzz and become
 # regression seeds.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/search
 	$(GO) test -run='^$$' -fuzz=FuzzSearch -fuzztime=10s ./internal/search
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/replica
+	$(GO) test -run='^$$' -fuzz=FuzzActivityRender -fuzztime=10s ./internal/activity
 
 # Replication smoke under the race detector: an in-process leader plus
 # two followers (one chained off the other) converge through a mid-test

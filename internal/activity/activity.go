@@ -6,6 +6,7 @@
 package activity
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -129,7 +130,7 @@ func (a *Activity) Terms(tax string) []string {
 // depends only on the model. The hash covers every field Render emits —
 // front-matter tags and all body sections.
 func (a *Activity) Fingerprint() string {
-	sum := sha256.Sum256([]byte(a.Render()))
+	sum := sha256.Sum256(a.canonical())
 	return hex.EncodeToString(sum[:])
 }
 
@@ -277,132 +278,240 @@ func ordinal(s string) int {
 
 // Render serializes the activity back to its Markdown file content in the
 // Fig. 1 section order, generating the two coverage sections from tags.
-func (a *Activity) Render() string {
-	doc := frontmatter.New()
-	doc.Set("title", a.Title)
+func (a *Activity) Render() string { return string(a.canonical()) }
+
+// canonical returns the canonical Markdown file in one buffer, sized from
+// the activity's variable-length fields so that it rarely regrows.
+func (a *Activity) canonical() []byte {
+	n := 1024 + len(a.Title) + len(a.Author) + len(a.Details) + len(a.CoursesNote) +
+		len(a.Accessibility) + len(a.Assessment)
+	for _, ss := range [][]string{a.Links, a.Variations, a.Citations} {
+		for _, s := range ss {
+			n += len(s) + 4
+		}
+	}
+	return a.appendCanonical(make([]byte, 0, n))
+}
+
+// appendCanonical appends the canonical Markdown file (front matter, then
+// the sections joined as markdown.JoinSections joins them) to b. Render
+// and Fingerprint share it, so a fingerprint costs one buffer and one
+// hash.
+func (a *Activity) appendCanonical(b []byte) []byte {
+	b = append(b, "---\n"...)
+	b = appendScalar(b, "title", a.Title)
 	if a.Date != "" {
-		doc.Set("date", a.Date)
+		b = appendScalar(b, "date", a.Date)
 	}
 	if a.Source != "" {
-		doc.Set("source", a.Source)
+		b = appendScalar(b, "source", a.Source)
 	}
-	for _, kv := range []struct {
-		key  string
-		vals []string
-	}{
-		{"cs2013", a.CS2013}, {"tcpp", a.TCPP}, {"courses", a.Courses},
-		{"senses", a.Senses}, {"cs2013details", a.CS2013Details},
-		{"tcppdetails", a.TCPPDetails}, {"medium", a.Medium},
-	} {
-		if len(kv.vals) > 0 {
-			doc.SetList(kv.key, kv.vals)
-		}
-	}
+	b = appendList(b, "cs2013", a.CS2013)
+	b = appendList(b, "tcpp", a.TCPP)
+	b = appendList(b, "courses", a.Courses)
+	b = appendList(b, "senses", a.Senses)
+	b = appendList(b, "cs2013details", a.CS2013Details)
+	b = appendList(b, "tcppdetails", a.TCPPDetails)
+	b = appendList(b, "medium", a.Medium)
+	b = append(b, "---\n\n"...)
 
-	var secs []markdown.Section
-	secs = append(secs, markdown.Section{Title: SecAuthor, Content: a.renderAuthor()})
-	if a.Details != "" {
-		secs = append(secs, markdown.Section{Title: SecDetails, Content: a.Details})
-	}
-	if len(a.Variations) > 0 {
-		secs = append(secs, markdown.Section{Title: SecVariations, Content: bulleted(a.Variations)})
-	}
-	secs = append(secs,
-		markdown.Section{Title: SecCS2013, Content: a.renderCS2013Coverage()},
-		markdown.Section{Title: SecTCPP, Content: a.renderTCPPCoverage()},
-		markdown.Section{Title: SecCourses, Content: a.renderCourses()},
-		markdown.Section{Title: SecAccessibility, Content: a.Accessibility},
-		markdown.Section{Title: SecAssessment, Content: a.Assessment},
-		markdown.Section{Title: SecCitations, Content: bulleted(a.Citations)},
-	)
-	doc.Body = markdown.JoinSections(secs)
-	return doc.Render()
-}
-
-func (a *Activity) renderAuthor() string {
-	var lines []string
+	b, at := appendHeading(b, SecAuthor, true)
+	lines := 0
 	if a.Author != "" {
-		lines = append(lines, a.Author)
+		b = append(b, a.Author...)
+		lines++
 	}
 	for _, l := range a.Links {
-		lines = append(lines, l)
+		b = appendLine(b, l, lines)
+		lines++
 	}
 	if len(a.Links) == 0 {
-		lines = append(lines, NoExternalNote)
+		b = appendLine(b, NoExternalNote, lines)
 	}
-	return strings.Join(lines, "\n\n")
-}
+	b = endSection(b, at)
 
-func (a *Activity) renderCS2013Coverage() string {
+	if a.Details != "" {
+		b, at = appendHeading(b, SecDetails, false)
+		b = endSection(append(b, a.Details...), at)
+	}
+	if len(a.Variations) > 0 {
+		b, at = appendHeading(b, SecVariations, false)
+		b = endSection(appendBullets(b, at, a.Variations), at)
+	}
+
+	b, at = appendHeading(b, SecCS2013, false)
 	if len(a.CS2013) == 0 {
-		return "None."
-	}
-	var b strings.Builder
-	for i, term := range a.CS2013 {
-		u, ok := cs2013.ByTerm(term)
-		if !ok {
-			fmt.Fprintf(&b, "- %s\n", term)
-			continue
-		}
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		fmt.Fprintf(&b, "**%s**\n", u.Name)
-		for _, det := range a.CS2013Details {
-			du, o, err := cs2013.ParseDetail(det)
-			if err == nil && du.Abbrev == u.Abbrev {
-				fmt.Fprintf(&b, "- %s (%s): %s\n", det, o.Tier, o.Text)
+		b = append(b, "None."...)
+	} else {
+		for i, term := range a.CS2013 {
+			u, ok := cs2013.ByTerm(term)
+			if !ok {
+				b = appendItem(b, term)
+				continue
+			}
+			if i > 0 {
+				b = append(b, '\n')
+			}
+			b = appendStrong(b, u.Name)
+			for _, det := range a.CS2013Details {
+				du, o, err := cs2013.ParseDetail(det)
+				if err == nil && du.Abbrev == u.Abbrev {
+					b = append(b, "- "...)
+					b = append(b, det...)
+					b = append(b, " ("...)
+					b = append(b, o.Tier.String()...)
+					b = append(b, "): "...)
+					b = append(b, o.Text...)
+					b = append(b, '\n')
+				}
 			}
 		}
+		b = trimFrom(b, at)
 	}
-	return strings.TrimSpace(b.String())
-}
+	b = endSection(b, at)
 
-func (a *Activity) renderTCPPCoverage() string {
+	b, at = appendHeading(b, SecTCPP, false)
 	if len(a.TCPP) == 0 {
-		return "None."
-	}
-	var b strings.Builder
-	for i, term := range a.TCPP {
-		ar, ok := tcpp.ByTerm(term)
-		if !ok {
-			fmt.Fprintf(&b, "- %s\n", term)
-			continue
-		}
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		fmt.Fprintf(&b, "**%s**\n", ar.Name)
-		for _, det := range a.TCPPDetails {
-			da, tp, err := tcpp.FindTopic(det)
-			if err == nil && da.Name == ar.Name {
-				fmt.Fprintf(&b, "- %s: %s %s\n", det, tp.Bloom, tp.Name)
+		b = append(b, "None."...)
+	} else {
+		for i, term := range a.TCPP {
+			ar, ok := tcpp.ByTerm(term)
+			if !ok {
+				b = appendItem(b, term)
+				continue
+			}
+			if i > 0 {
+				b = append(b, '\n')
+			}
+			b = appendStrong(b, ar.Name)
+			for _, det := range a.TCPPDetails {
+				da, tp, err := tcpp.FindTopic(det)
+				if err == nil && da.Name == ar.Name {
+					b = append(b, "- "...)
+					b = append(b, det...)
+					b = append(b, ": "...)
+					b = append(b, tp.Bloom.String()...)
+					b = append(b, ' ')
+					b = append(b, tp.Name...)
+					b = append(b, '\n')
+				}
 			}
 		}
+		b = trimFrom(b, at)
 	}
-	return strings.TrimSpace(b.String())
-}
+	b = endSection(b, at)
 
-func (a *Activity) renderCourses() string {
-	var parts []string
-	if len(a.Courses) > 0 {
-		parts = append(parts, strings.Join(a.Courses, ", "))
+	b, at = appendHeading(b, SecCourses, false)
+	parts := 0
+	for i, c := range a.Courses {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, c...)
+		parts = 1
 	}
 	if a.CoursesNote != "" {
-		parts = append(parts, a.CoursesNote)
+		b = appendLine(b, a.CoursesNote, parts)
+		parts++
 	}
-	if len(parts) == 0 {
-		return "None recommended yet."
+	if parts == 0 {
+		b = append(b, "None recommended yet."...)
 	}
-	return strings.Join(parts, "\n\n")
+	b = endSection(b, at)
+
+	b, at = appendHeading(b, SecAccessibility, false)
+	b = endSection(append(b, a.Accessibility...), at)
+	b, at = appendHeading(b, SecAssessment, false)
+	b = endSection(append(b, a.Assessment...), at)
+	b, at = appendHeading(b, SecCitations, false)
+	return endSection(appendBullets(b, at, a.Citations), at)
 }
 
-func bulleted(items []string) string {
-	var b strings.Builder
-	for _, it := range items {
-		fmt.Fprintf(&b, "- %s\n", it)
+// appendScalar appends a quoted front-matter scalar line.
+func appendScalar(b []byte, key, value string) []byte {
+	b = append(b, key...)
+	b = append(b, ": \""...)
+	b = append(b, value...)
+	return append(b, "\"\n"...)
+}
+
+// appendList appends a flow-style front-matter list line; an empty list
+// is left out.
+func appendList(b []byte, key string, values []string) []byte {
+	if len(values) == 0 {
+		return b
 	}
-	return strings.TrimSpace(b.String())
+	b = append(b, key...)
+	b = append(b, ": ["...)
+	for i, v := range values {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, '"')
+		b = append(b, v...)
+		b = append(b, '"')
+	}
+	return append(b, "]\n"...)
+}
+
+// appendHeading starts a body section: the separator between sections,
+// the title line and the blank line that opens the content. It returns
+// the offset where the content starts.
+func appendHeading(b []byte, title string, first bool) ([]byte, int) {
+	if !first {
+		b = append(b, "\n---\n\n"...)
+	}
+	b = append(b, "## "...)
+	b = append(b, title...)
+	b = append(b, "\n\n"...)
+	return b, len(b)
+}
+
+// endSection closes a section whose content starts at offset at. An empty
+// section keeps only its title line.
+func endSection(b []byte, at int) []byte {
+	if len(b) == at {
+		return b[:at-1]
+	}
+	return append(b, '\n')
+}
+
+// appendLine appends s as the next of a section's paragraphs, n of which
+// precede it.
+func appendLine(b []byte, s string, n int) []byte {
+	if n > 0 {
+		b = append(b, "\n\n"...)
+	}
+	return append(b, s...)
+}
+
+// appendItem appends one "- item" list line.
+func appendItem(b []byte, item string) []byte {
+	b = append(b, "- "...)
+	b = append(b, item...)
+	return append(b, '\n')
+}
+
+// appendStrong appends one "**name**" line.
+func appendStrong(b []byte, name string) []byte {
+	b = append(b, "**"...)
+	b = append(b, name...)
+	return append(b, "**\n"...)
+}
+
+// appendBullets appends items as a bulleted list and trims the section
+// content starting at offset at.
+func appendBullets(b []byte, at int, items []string) []byte {
+	for _, it := range items {
+		b = appendItem(b, it)
+	}
+	return trimFrom(b, at)
+}
+
+// trimFrom trims leading and trailing white space from b[at:] in place,
+// as strings.TrimSpace trims a section's content.
+func trimFrom(b []byte, at int) []byte {
+	return b[:at+copy(b[at:], bytes.TrimSpace(b[at:]))]
 }
 
 // Template returns the Fig. 1 archetype: the file a contributor starts from,
@@ -510,7 +619,20 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
+// firstDuplicate returns the first term listed twice, or "". Tag lists
+// are short, so a pairwise scan answers without allocating; long lists
+// fall back to a set.
 func firstDuplicate(xs []string) string {
+	if len(xs) <= 16 {
+		for i, x := range xs {
+			for _, y := range xs[:i] {
+				if x == y {
+					return x
+				}
+			}
+		}
+		return ""
+	}
 	seen := make(map[string]bool, len(xs))
 	for _, x := range xs {
 		if seen[x] {

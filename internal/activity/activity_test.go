@@ -313,3 +313,27 @@ func TestFingerprint(t *testing.T) {
 		t.Error("round-tripped activity has a different fingerprint")
 	}
 }
+
+// TestFirstDuplicate: the pairwise scan for short tag lists and the set
+// for long ones report the same first repeated term.
+func TestFirstDuplicate(t *testing.T) {
+	long := make([]string, 40)
+	for i := range long {
+		long[i] = strings.Repeat("t", i+1)
+	}
+	for _, tc := range []struct {
+		xs   []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"a", "b", "c"}, ""},
+		{[]string{"a", "b", "b", "a"}, "b"},
+		{[]string{"a", "b", "c", "a", "b"}, "a"},
+		{long, ""},
+		{append(append([]string(nil), long...), long[30], long[2]), long[30]},
+	} {
+		if got := firstDuplicate(tc.xs); got != tc.want {
+			t.Errorf("firstDuplicate(%d terms) = %q, want %q", len(tc.xs), got, tc.want)
+		}
+	}
+}

@@ -89,3 +89,47 @@ func TestGenerationIDsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestNewFromCarriesFingerprints: NewFrom keys carry-over on pointer
+// identity. An activity that is the very pointer prev holds keeps prev's
+// fingerprint without being rendered again, which the test exposes by
+// writing to a shared activity — something production code never does.
+// A copy with equal content is fingerprinted afresh, to the same value,
+// and the aggregate fingerprint is the one New computes.
+func TestNewFromCarriesFingerprints(t *testing.T) {
+	acts := curation.Activities()
+	prev, err := core.New(acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, copied := acts[0], acts[1]
+	sharedFP, copiedFP := prev.ActivityFingerprint(shared.Slug), prev.ActivityFingerprint(copied.Slug)
+	c := *copied
+	acts[1] = &c
+	next, err := core.NewFrom(prev, acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := next.ActivityFingerprint(copied.Slug); got != copiedFP {
+		t.Errorf("copied activity fingerprint %.16s, want %.16s", got, copiedFP)
+	}
+	if next.Fingerprint() != prev.Fingerprint() {
+		t.Errorf("NewFrom fingerprint %.16s, New %.16s", next.Fingerprint(), prev.Fingerprint())
+	}
+
+	shared.Assessment += " Edited in place."
+	again, err := core.NewFrom(next, acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.ActivityFingerprint(shared.Slug); got != sharedFP {
+		t.Errorf("shared activity was fingerprinted again: %.16s, want the carried %.16s", got, sharedFP)
+	}
+	cold, err := core.New(acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.ActivityFingerprint(shared.Slug) == sharedFP {
+		t.Error("New without prev kept a stale fingerprint")
+	}
+}

@@ -37,13 +37,23 @@ type Repository struct {
 
 	fpOnce sync.Once
 	fp     string
-	actFP  map[string]string // slug -> activity fingerprint, filled under fpOnce
+	actFP  map[string]string // slug -> activity fingerprint: carried ones from NewFrom, the rest filled under fpOnce
 }
 
 // New builds a repository from parsed activities, validating each one and
 // indexing all six taxonomies. All validation errors are reported together.
-func New(acts []*activity.Activity) (*Repository, error) {
+func New(acts []*activity.Activity) (*Repository, error) { return NewFrom(nil, acts) }
+
+// NewFrom is New for the next generation of prev. Activities are
+// immutable once in a repository, so an activity that is the very
+// pointer prev holds under its slug keeps prev's fingerprint instead of
+// being rendered and hashed again; the result is the repository New
+// builds from the same activities. A nil prev carries nothing over.
+func NewFrom(prev *Repository, acts []*activity.Activity) (*Repository, error) {
 	r := &Repository{activities: make(map[string]*activity.Activity, len(acts))}
+	if prev != nil {
+		r.actFP = make(map[string]string, len(acts))
+	}
 	var problems []string
 	var entries []taxonomy.Entry
 	for _, a := range acts {
@@ -64,6 +74,9 @@ func New(acts []*activity.Activity) (*Repository, error) {
 		}
 		r.activities[a.Slug] = a
 		r.order = append(r.order, a.Slug)
+		if prev != nil && prev.activities[a.Slug] == a {
+			r.actFP[a.Slug] = prev.ActivityFingerprint(a.Slug)
+		}
 		entries = append(entries, a)
 	}
 	if len(problems) > 0 {
@@ -180,34 +193,44 @@ func (r *Repository) ActivityFingerprint(slug string) string {
 	return r.actFP[slug]
 }
 
-// fingerprints computes every activity fingerprint and the repository
-// fingerprint over them, once. Rendering and hashing the activities is
-// the bulk of the work and independent per activity, so it runs on
-// GOMAXPROCS goroutines, each taking every GOMAXPROCS-th slug and
-// writing its results by slug index; the repository hash is then folded
+// fingerprints computes every activity fingerprint NewFrom did not carry
+// over, and the repository fingerprint over them, once. Rendering and
+// hashing the activities is the bulk of the work and independent per
+// activity, so it runs on GOMAXPROCS goroutines, each taking every
+// GOMAXPROCS-th missing slug; the repository hash is then folded
 // serially in slug order.
 func (r *Repository) fingerprints() {
 	r.fpOnce.Do(func() {
-		fps := make([]string, len(r.order))
-		workers := min(runtime.GOMAXPROCS(0), len(fps))
+		if r.actFP == nil {
+			r.actFP = make(map[string]string, len(r.order))
+		}
+		var missing []string
+		for _, slug := range r.order {
+			if _, ok := r.actFP[slug]; !ok {
+				missing = append(missing, slug)
+			}
+		}
+		fps := make([]string, len(missing))
+		workers := min(runtime.GOMAXPROCS(0), len(missing))
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := w; i < len(fps); i += workers {
-					fps[i] = r.activities[r.order[i]].Fingerprint()
+				for i := w; i < len(missing); i += workers {
+					fps[i] = r.activities[missing[i]].Fingerprint()
 				}
 			}()
 		}
 		wg.Wait()
-		r.actFP = make(map[string]string, len(r.order))
-		h := sha256.New()
-		for i, slug := range r.order {
+		for i, slug := range missing {
 			r.actFP[slug] = fps[i]
+		}
+		h := sha256.New()
+		for _, slug := range r.order {
 			io.WriteString(h, slug)
 			h.Write([]byte{0})
-			io.WriteString(h, fps[i])
+			io.WriteString(h, r.actFP[slug])
 			h.Write([]byte{0})
 		}
 		r.fp = hex.EncodeToString(h.Sum(nil))

@@ -9,6 +9,7 @@
 package corpus
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io/fs"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"pdcunplugged/internal/activity"
 	"pdcunplugged/internal/core"
@@ -89,7 +91,15 @@ func DeriveName(dirPath string) string {
 
 func (d dir) Name() string { return d.name }
 
-func (d dir) Load() ([]*activity.Activity, error) {
+func (d dir) Load() ([]*activity.Activity, error) { return d.load(nil, nil) }
+
+// load reads every .md file under the directory. With a memo (a non-nil
+// next), a file whose bytes equal the ones carried under its path keeps
+// the carried activity instead of being parsed again, every file read is
+// recorded into next, and every activity comes back stamped with the
+// source name. Without one it returns fresh, unstamped activities, as
+// Source.Load promises.
+func (d dir) load(carried, next map[fileKey]memoFile) ([]*activity.Activity, error) {
 	fsys := os.DirFS(d.path)
 	var acts []*activity.Activity
 	err := fs.WalkDir(fsys, ".", func(p string, ent fs.DirEntry, err error) error {
@@ -103,9 +113,19 @@ func (d dir) Load() ([]*activity.Activity, error) {
 		if err != nil {
 			return err
 		}
+		key := fileKey{source: d.name, path: p}
+		if f, ok := carried[key]; ok && bytes.Equal(f.data, data) {
+			next[key] = f
+			acts = append(acts, f.act)
+			return nil
+		}
 		a, err := activity.Parse(strings.TrimSuffix(path.Base(p), ".md"), string(data))
 		if err != nil {
 			return err
+		}
+		if next != nil {
+			a.Source = d.name
+			next[key] = memoFile{data: data, act: a}
 		}
 		acts = append(acts, a)
 		return nil
@@ -122,9 +142,49 @@ func (d dir) Load() ([]*activity.Activity, error) {
 // cross-source slug collisions surface through core.New with both source
 // names in the error.
 func LoadAll(sources ...Source) (*core.Repository, error) {
+	return new(Memo).LoadAll(sources...)
+}
+
+// Memo carries activities from one load to the next, so a reload parses
+// and fingerprints only what changed. A directory file whose bytes are
+// unchanged yields the very activity the previous load returned; a
+// compiled-in catalog (builtin, csinparallel) cannot change while the
+// process runs, so its activities are carried whole. A carried activity
+// keeps its fingerprint from the previous repository (core.NewFrom).
+// Carried activities are shared with repositories still being served,
+// so nothing writes to them once they enter the memo: they are stamped
+// with their source before. The memo holds what its last successful
+// load returned only, so it is bounded by the corpus; a failed load
+// leaves it as it was. The zero value is an empty memo, safe for
+// concurrent use.
+type Memo struct {
+	mu       sync.Mutex
+	files    map[fileKey]memoFile
+	catalogs map[string][]*activity.Activity // compiled-in catalog name -> its stamped activities
+	repo     *core.Repository                // the last successful load
+}
+
+// fileKey names one directory-source file: the source name and the
+// file's path under the directory.
+type fileKey struct{ source, path string }
+
+// memoFile is one carried file: its exact bytes and the activity parsed
+// from them, stamped with its source.
+type memoFile struct {
+	data []byte
+	act  *activity.Activity
+}
+
+// LoadAll is the package-level LoadAll, carrying unchanged activities
+// over from the memo's last successful load.
+func (m *Memo) LoadAll(sources ...Source) (*core.Repository, error) {
 	if len(sources) == 0 {
 		sources = []Source{Builtin()}
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next := make(map[fileKey]memoFile, len(m.files))
+	catalogs := map[string][]*activity.Activity{}
 	seen := map[string]bool{}
 	var acts []*activity.Activity
 	for _, s := range sources {
@@ -137,17 +197,41 @@ func LoadAll(sources ...Source) (*core.Repository, error) {
 		}
 		seen[name] = true
 		_, span := obs.StartSpan(context.Background(), "corpus.load."+name)
-		loaded, err := s.Load()
+		var loaded []*activity.Activity
+		var err error
+		switch src := s.(type) {
+		case dir:
+			loaded, err = src.load(m.files, next)
+		case builtin, csinparallel:
+			if loaded = m.catalogs[name]; loaded == nil {
+				loaded, err = loadStamped(s)
+			}
+			catalogs[name] = loaded
+		default:
+			loaded, err = loadStamped(s)
+		}
 		span.End()
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range loaded {
-			a.Source = name
-			acts = append(acts, a)
-		}
+		acts = append(acts, loaded...)
 	}
-	return core.New(acts)
+	repo, err := core.NewFrom(m.repo, acts)
+	if err != nil {
+		return nil, err
+	}
+	m.files, m.catalogs, m.repo = next, catalogs, repo
+	return repo, nil
+}
+
+// loadStamped loads a source and stamps every activity with its name.
+func loadStamped(s Source) ([]*activity.Activity, error) {
+	loaded, err := s.Load()
+	name := s.Name()
+	for _, a := range loaded {
+		a.Source = name
+	}
+	return loaded, err
 }
 
 // sourceActivities reports how many activities each source contributes

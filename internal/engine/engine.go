@@ -130,6 +130,7 @@ type Outcome struct {
 // are serialized; readers never block.
 type Engine struct {
 	cfg     Config
+	memo    *corpus.Memo
 	builder *site.Builder
 	indexer *search.Builder
 	tracer  *trace.Tracer
@@ -185,6 +186,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:     cfg,
+		memo:    new(corpus.Memo),
 		builder: site.NewBuilder(site.Options{Workers: cfg.Jobs}),
 		indexer: search.NewBuilder(),
 		tracer: trace.New(trace.Options{
@@ -250,7 +252,10 @@ func (e *Engine) Subscribe(fn func(*Generation)) {
 // Load runs the load stage only: the federated corpus from the
 // configured adapters (catalogs + -src directories), or the embedded
 // curation when none are configured. It is the single repository entry
-// point shared by `pdcu build`, `pdcu serve`, and `pdcu search`.
+// point shared by `pdcu build`, `pdcu serve`, and `pdcu search`. The
+// engine's corpus memo carries every unchanged -src file over from the
+// previous successful load, so a reload parses and fingerprints only the
+// edited files.
 func (e *Engine) Load(ctx context.Context) (*core.Repository, error) {
 	_, span := obs.StartSpan(ctx, "engine.load")
 	var repo *core.Repository
@@ -262,7 +267,7 @@ func (e *Engine) Load(ctx context.Context) (*core.Repository, error) {
 			// them) identical to the pre-federation era.
 			repo, err = curation.Repository()
 		} else {
-			repo, err = corpus.LoadAll(sources...)
+			repo, err = e.memo.LoadAll(sources...)
 		}
 	}
 	if err != nil {

@@ -67,6 +67,23 @@ func QueryBuckets() []float64 {
 		0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 }
 
+// PhaseBuckets returns the latency buckets (seconds) of
+// pdcu_phase_seconds, at 1, 2.5 and 5 per decade from 1µs to 10s: the
+// timed layers run from a microsecond (a rate-limit check, a cache
+// lookup) to seconds (a cold site build), and each needs bounds near its
+// own scale for its quantiles to be read from /metrics.
+func PhaseBuckets() []float64 {
+	return []float64{
+		0.000001, 0.0000025, 0.000005,
+		0.00001, 0.000025, 0.00005,
+		0.0001, 0.00025, 0.0005,
+		0.001, 0.0025, 0.005,
+		0.01, 0.025, 0.05,
+		0.1, 0.25, 0.5,
+		1, 2.5, 5, 10,
+	}
+}
+
 // Registry is a concurrent-safe collection of metric families. The zero
 // value is not usable; construct with NewRegistry or use Default.
 // Registering the same name twice returns the existing family when the
@@ -295,7 +312,7 @@ func (h *HistogramChild) Observe(v float64) {
 // Timer starts a stopwatch; the returned stop function records the
 // elapsed seconds as one observation. Designed for deferring:
 //
-//	defer rebuildSeconds.With("incremental").Timer()()
+//	defer enginePublish.With().Timer()()
 func (h *HistogramChild) Timer() func() {
 	start := time.Now()
 	return func() { h.Observe(time.Since(start).Seconds()) }

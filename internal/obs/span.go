@@ -10,7 +10,7 @@ import (
 // phaseSeconds is the duration histogram every span feeds, one series
 // per layer name; /metrics and `pdcu build -verbose` both read it.
 var phaseSeconds = Default().Histogram("pdcu_phase_seconds",
-	"Duration of instrumented pipeline, request and replication layers.", DefBuckets(), "phase")
+	"Duration of instrumented pipeline, request and replication layers.", PhaseBuckets(), "phase")
 
 // Span is one timed region of the pipeline under its layer name. End
 // always records the duration in pdcu_phase_seconds{phase=name}; when
@@ -39,6 +39,9 @@ func (s Span) SetAttr(key, value string) { s.child.SetAttr(key, value) }
 // FailErr marks the trace child failed (a nil error is a no-op), which
 // pins its trace.
 func (s Span) FailErr(err error) { s.child.FailErr(err) }
+
+// Elapsed is the time since the span started: what End would record now.
+func (s Span) Elapsed() time.Duration { return time.Since(s.start) }
 
 // End records the span's duration and ends its trace child. Call it
 // once: each call is one observation.

@@ -112,3 +112,35 @@ func TestUntracedSpanAllocs(t *testing.T) {
 		t.Errorf("untraced StartSpan+End = %v allocs, want 0", allocs)
 	}
 }
+
+// TestPhaseBucketsResolveMicroseconds: request-path layers take a few
+// microseconds, so pdcu_phase_seconds needs bounds below a millisecond.
+// A 3µs observation lands at or under the 5µs bound and above the 2.5µs
+// one, not in a first bucket that holds everything under 500µs.
+func TestPhaseBucketsResolveMicroseconds(t *testing.T) {
+	const phase = "test.span.buckets"
+	cumulative := func(le float64) uint64 {
+		for _, s := range Default().Snapshot("pdcu_phase_seconds") {
+			if s.Labels["phase"] != phase {
+				continue
+			}
+			var n uint64
+			for i, b := range s.Bounds {
+				if b > le {
+					break
+				}
+				n += s.Counts[i]
+			}
+			return n
+		}
+		return 0
+	}
+	under5, under2 := cumulative(5e-6), cumulative(2.5e-6)
+	phaseSeconds.With(phase).Observe(3e-6)
+	if got := cumulative(5e-6) - under5; got != 1 {
+		t.Errorf("le=5e-06 bucket grew by %d, want 1", got)
+	}
+	if got := cumulative(2.5e-6) - under2; got != 0 {
+		t.Errorf("le=2.5e-06 bucket grew by %d, want 0", got)
+	}
+}

@@ -199,7 +199,10 @@ func Decode(data []byte) (*engine.Generation, error) {
 		return nil, fmt.Errorf("replica: corpus sources %v do not match snapshot meta %v", got, m.Sources)
 	}
 
-	sr := &envReader{buf: sections[2]}
+	// The pages are sliced out of one copy of the site section, so a
+	// decoded site owns its bytes (data may be reused by the caller) at
+	// the cost of one allocation rather than one per page.
+	sr := &envReader{buf: append([]byte(nil), sections[2]...)}
 	n := int(sr.u32())
 	if sr.err == nil && n > len(sr.buf)/2 {
 		return nil, fmt.Errorf("replica: site section claims %d pages in %d bytes", n, len(sr.buf))
@@ -217,7 +220,7 @@ func Decode(data []byte) (*engine.Generation, error) {
 			return nil, fmt.Errorf("replica: site pages out of order at %q", p)
 		}
 		prev = p
-		pagesMap[p] = append([]byte(nil), body...)
+		pagesMap[p] = body[:size:size]
 	}
 	if sr.err != nil {
 		return nil, sr.err

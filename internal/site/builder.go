@@ -18,9 +18,6 @@ var (
 	workersBusy = obs.Default().Gauge("pdcu_build_workers_busy",
 		"Render workers currently executing a job, by pipeline stage.",
 		"stage")
-	rebuildSeconds = obs.Default().Histogram("pdcu_site_rebuild_seconds",
-		"Wall time of site builds, split into full (empty cache) and incremental.",
-		nil, "kind")
 )
 
 // Options configures a Builder.
@@ -92,15 +89,15 @@ func (b *Builder) Build(repo *core.Repository) (*Site, error) {
 	return b.BuildContext(context.Background(), repo)
 }
 
-// BuildContext is Build with trace propagation: the build is timed as
-// the "site.build" span, with one "site.job.<stage>" span per
-// re-rendered job. When ctx carries a recording trace (a rebuild trace),
-// they appear in its waterfall, which shows which pages a rebuild
-// actually spent its time on.
+// BuildContext is Build with trace propagation: the build is timed once,
+// as the "site.build" span (its "kind" attribute says whether the cache
+// was empty), with one "site.job.<stage>" span per re-rendered job.
+// BuildStats.Duration is read from the same span. When ctx carries a
+// recording trace (a rebuild trace), the spans appear in its waterfall,
+// which shows which pages a rebuild actually spent its time on.
 func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Site, error) {
 	ctx, span := obs.StartSpan(ctx, "site.build")
 	defer span.End()
-	start := time.Now()
 
 	kind := "full"
 	b.mu.Lock()
@@ -109,7 +106,6 @@ func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Sit
 	}
 	b.mu.Unlock()
 	span.SetAttr("kind", kind)
-	defer rebuildSeconds.With(kind).Timer()()
 
 	jobs := planJobs(repo)
 	workers := b.opts.Workers
@@ -171,7 +167,7 @@ func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Sit
 			delete(b.cache, id)
 		}
 	}
-	stats.Duration = time.Since(start)
+	stats.Duration = span.Elapsed()
 	b.last = stats
 	b.mu.Unlock()
 

@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pdcunplugged/internal/core"
 	"pdcunplugged/internal/coverage"
@@ -36,25 +37,18 @@ import (
 // than mutating one in place.
 type Site struct {
 	Pages map[string][]byte
-	etags map[string]string
+	etags sync.Map // path -> strong ETag, computed on first use
 }
 
-// newSite wraps merged pages and precomputes the strong entity tag for
-// every page from its content hash — the serving-side analogue of the
-// build-side fingerprints: a page's ETag changes iff its bytes do.
-func newSite(pages map[string][]byte) *Site {
-	s := &Site{Pages: pages, etags: make(map[string]string, len(pages))}
-	for p, data := range pages {
-		sum := sha256.Sum256(data)
-		s.etags[p] = `"` + hex.EncodeToString(sum[:8]) + `"`
-	}
-	return s
-}
+// newSite wraps merged pages. Page ETags are not computed here: a
+// generation serves few of its pages before the next replaces it, so
+// each page's tag is hashed the first time it is asked for.
+func newSite(pages map[string][]byte) *Site { return &Site{Pages: pages} }
 
 // FromPages assembles a servable Site from already-rendered page bytes
-// (a replication snapshot): the ETag table is recomputed from the
-// content hashes, so a restored site serves the same strong validators
-// as the build that produced it — identical bytes, identical ETags.
+// (a replication snapshot). ETags come from the content hashes, so a
+// restored site serves the same strong validators as the build that
+// produced it — identical bytes, identical ETags.
 func FromPages(pages map[string][]byte) *Site { return newSite(pages) }
 
 // Len returns the number of generated files.
@@ -71,8 +65,22 @@ func (s *Site) Paths() []string {
 }
 
 // ETag returns the entity tag served for a page path, or "" when the
-// page does not exist.
-func (s *Site) ETag(path string) string { return s.etags[path] }
+// page does not exist: the serving-side analogue of the build-side
+// fingerprints, a page's ETag changes iff its bytes do. It is computed
+// from the page's sha256 the first time it is asked for and kept for the
+// life of the Site; concurrent first calls compute the same value.
+func (s *Site) ETag(path string) string {
+	if tag, ok := s.etags.Load(path); ok {
+		return tag.(string)
+	}
+	data, ok := s.Pages[path]
+	if !ok {
+		return ""
+	}
+	sum := sha256.Sum256(data)
+	tag, _ := s.etags.LoadOrStore(path, `"`+hex.EncodeToString(sum[:8])+`"`)
+	return tag.(string)
+}
 
 // WriteTo writes the site under dir. Every page lands via a temp file +
 // rename in its final directory, so a crash or concurrent reader never
@@ -211,13 +219,12 @@ func (s *Site) Handler() http.Handler {
 		default:
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		}
-		if etag := s.etags[p]; etag != "" {
-			w.Header().Set("ETag", etag)
-			if ETagMatch(r.Header.Get("If-None-Match"), etag) {
-				handlerTotal.With("not_modified").Inc()
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
+		etag := s.ETag(p)
+		w.Header().Set("ETag", etag)
+		if ETagMatch(r.Header.Get("If-None-Match"), etag) {
+			handlerTotal.With("not_modified").Inc()
+			w.WriteHeader(http.StatusNotModified)
+			return
 		}
 		handlerTotal.With("ok").Inc()
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))

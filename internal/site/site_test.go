@@ -1,6 +1,8 @@
 package site
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"pdcunplugged/internal/curation"
@@ -440,6 +443,38 @@ func TestHandlerETag(t *testing.T) {
 	}
 	if s.ETag("no/such/page") != "" {
 		t.Error("missing page has an ETag")
+	}
+}
+
+// TestETagComputedOnFirstUse: a page's ETag is the first 8 bytes of its
+// sha256, quoted, whichever of several concurrent first callers
+// computes it, and the same value on every later call.
+func TestETagComputedOnFirstUse(t *testing.T) {
+	s := builtSite(t)
+	paths := s.Paths()
+	tags := make([][]string, 4)
+	var wg sync.WaitGroup
+	for g := range tags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range paths {
+				tags[g] = append(tags[g], s.ETag(p))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, p := range paths {
+		sum := sha256.Sum256(s.Pages[p])
+		want := `"` + hex.EncodeToString(sum[:8]) + `"`
+		for g := range tags {
+			if tags[g][i] != want {
+				t.Fatalf("%s: ETag %s from caller %d, want %s", p, tags[g][i], g, want)
+			}
+		}
+		if s.ETag(p) != want {
+			t.Errorf("%s: ETag changed after first use", p)
+		}
 	}
 }
 
