@@ -98,7 +98,7 @@ replica-smoke:
 # follower wired the way cmdServe wires them must produce a stitched
 # cross-node trace (follower fetch + leader snapshot serve under one
 # trace ID), a federated /metrics/fleet with both node labels, /readyz
-# replication extras, and a downloadable pprof capture from an induced
+# replication extras, and a 503 from the leader's /slo after an induced
 # SLO breach. The rollup-across-Adopt test rides along: generation
 # swaps must not clamp counter windows as resets.
 fleet-obs-smoke:

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"pdcunplugged/internal/engine"
 	"pdcunplugged/internal/obs"
 	"pdcunplugged/internal/obs/fleet"
 	"pdcunplugged/internal/obs/trace"
@@ -23,15 +22,9 @@ import (
 // run — the follower's fetch cycle and the leader's snapshot serve
 // stitched into a single trace, /metrics/fleet carrying both nodes'
 // series under node= labels, /readyz reporting replication role and
-// position, and an induced SLO breach producing a downloadable pprof
-// capture.
+// position, and an induced SLO breach turning the leader's /slo to 503.
 func TestFleetObsSmoke(t *testing.T) {
-	// Leader: breach-triggered profiling on, with a CPU window short
-	// enough for a test.
-	leaderEng := builtEngine(t, func(c *engine.Config) {
-		c.ProfileOnBreach = true
-		c.ProfileCPU = 50 * time.Millisecond
-	})
+	leaderEng := builtEngine(t, nil)
 	rep := replica.NewLeader(leaderEng)
 	leaderEng.SetPeerSource(func() []fleet.Peer {
 		var peers []fleet.Peer
@@ -192,7 +185,7 @@ func TestFleetObsSmoke(t *testing.T) {
 		t.Errorf("follower /readyz missing replica_lag: %s", body)
 	}
 
-	// --- Breach-triggered profile capture ------------------------------
+	// --- SLO breach on /slo ------------------------------------------
 
 	// Induce the breach via the metrics themselves, not wall-clock
 	// latency: observing over-threshold durations directly into the
@@ -206,43 +199,32 @@ func TestFleetObsSmoke(t *testing.T) {
 		hist.With("search").Observe(0.08) // 16x the 5ms objective
 	}
 	ru.Collect() // sample the all-bad window
-	ru.Collect() // hooks run first: the SLO engine sees the breach here
+	ru.Collect() // a trailing empty window leaves the burn rates as they are
 
-	var capture fleet.Capture
-	deadline = time.Now().Add(10 * time.Second)
-	for capture.ID == "" && time.Now().Before(deadline) {
-		for _, c := range leaderEng.Profiles().List() {
-			if c.Trigger == "breach" && c.Err == "" {
-				capture = c
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if capture.ID == "" {
-		t.Fatalf("no breach-triggered capture appeared; ring: %+v", leaderEng.Profiles().List())
-	}
-	if capture.Context == "" || !strings.Contains(capture.Context, "query-latency") {
-		t.Errorf("capture context %q does not name the breached objective", capture.Context)
-	}
-
-	// The capture is listed and downloadable over HTTP.
-	resp, err = http.Get(leaderSrv.URL + "/debug/obs/profiles")
+	resp, err = http.Get(leaderSrv.URL + "/slo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(list), capture.ID) {
-		t.Errorf("/debug/obs/profiles does not list %s: %s", capture.ID, list)
+	var report struct {
+		Status     string `json:"status"`
+		Objectives []struct {
+			Name     string `json:"name"`
+			Breached bool   `json:"breached"`
+		} `json:"objectives"`
 	}
-	resp, err = http.Get(leaderSrv.URL + "/debug/obs/profiles/" + capture.ID + "/goroutine")
+	err = json.NewDecoder(resp.Body).Decode(&report)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(prof) == 0 {
-		t.Fatalf("goroutine profile download = %d, %d bytes", resp.StatusCode, len(prof))
+	if resp.StatusCode != http.StatusServiceUnavailable || report.Status != "breached" {
+		t.Errorf("/slo = %d %q, want 503 breached", resp.StatusCode, report.Status)
+	}
+	var named bool
+	for _, o := range report.Objectives {
+		named = named || (o.Name == "query-latency" && o.Breached)
+	}
+	if !named {
+		t.Errorf("/slo does not name query-latency as breached: %+v", report.Objectives)
 	}
 }

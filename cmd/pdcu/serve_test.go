@@ -185,25 +185,41 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServePprofGating pins -pprof as the only way to profile a node:
+// /debug/pprof/ answers only with the flag, and no other profiling
+// route is mounted either way.
 func TestServePprofGating(t *testing.T) {
+	status := func(srv *httptest.Server, method, path string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 	withoutPprof := serveTestServer(t, nil)
-	resp, err := http.Get(withoutPprof.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("pprof without -pprof = %d, want 404", resp.StatusCode)
-	}
-
 	withPprof := serveTestServer(t, func(c *engine.Config) { c.Pprof = true })
-	resp, err = http.Get(withPprof.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
+
+	if code := status(withoutPprof, http.MethodGet, "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("pprof without -pprof = %d, want 404", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof with -pprof = %d, want 200", resp.StatusCode)
+	if code := status(withPprof, http.MethodGet, "/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("pprof with -pprof = %d, want 200", code)
+	}
+	for name, srv := range map[string]*httptest.Server{"without -pprof": withoutPprof, "with -pprof": withPprof} {
+		for _, r := range []struct{ method, path string }{
+			{http.MethodPost, "/debug/obs/profile?cpu=10ms"},
+			{http.MethodGet, "/debug/obs/profiles"},
+		} {
+			if code := status(srv, r.method, r.path); code != http.StatusNotFound {
+				t.Errorf("%s %s %s = %d, want 404", name, r.method, r.path, code)
+			}
+		}
 	}
 }
 

@@ -80,13 +80,6 @@ type Config struct {
 	// /metrics/fleet. 0 disables the background loop (the endpoint still
 	// answers with a one-shot scrape). Must be 0 or >= 1s.
 	FleetScrape time.Duration
-	// ProfileOnBreach captures bounded pprof profiles (cpu, heap,
-	// goroutine) into the in-memory ring whenever an SLO objective
-	// transitions to breached.
-	ProfileOnBreach bool
-	// ProfileCPU is the CPU-profile sampling window for breach and
-	// manual captures; must be > 0.
-	ProfileCPU time.Duration
 	// Advertise is the base URL other fleet nodes can reach this node
 	// at. A follower sends it on heartbeats so the leader can scrape it
 	// and fetch its trace halves. Empty means "do not advertise".
@@ -214,7 +207,6 @@ func Defaults() Config {
 		TraceSample: 0.1,
 		TraceSlow:   250 * time.Millisecond,
 		LogSample:   1,
-		ProfileCPU:  5 * time.Second,
 	}
 }
 
@@ -319,8 +311,6 @@ func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
 	str("PDCU_FOLLOW", &c.Follow)
 	str("PDCU_SNAPSHOT_DIR", &c.SnapshotDir)
 	duration("PDCU_FLEET_SCRAPE", &c.FleetScrape)
-	boolean("PDCU_PROFILE_ON_BREACH", &c.ProfileOnBreach)
-	duration("PDCU_PROFILE_CPU", &c.ProfileCPU)
 	str("PDCU_ADVERTISE", &c.Advertise)
 	return firstErr
 }
@@ -366,8 +356,6 @@ func (c *Config) BindServeFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Follow, "follow", c.Follow, "run as a read replica pulling generation snapshots from the leader at this base URL")
 	fs.StringVar(&c.SnapshotDir, "snapshot-dir", c.SnapshotDir, "persist the latest generation snapshot here and cold-start from it on boot")
 	fs.DurationVar(&c.FleetScrape, "fleet-scrape", c.FleetScrape, "scrape fleet peers' /metrics at this interval and federate them on /metrics/fleet (0 disables the loop)")
-	fs.BoolVar(&c.ProfileOnBreach, "profile-on-breach", c.ProfileOnBreach, "capture pprof profiles into the in-memory ring when an SLO objective breaches")
-	fs.DurationVar(&c.ProfileCPU, "profile-cpu", c.ProfileCPU, "CPU-profile sampling window for breach and manual captures")
 	fs.StringVar(&c.Advertise, "advertise", c.Advertise, "base URL peers can reach this node at (followers send it on heartbeats for fleet scraping and trace stitching)")
 }
 
@@ -432,9 +420,6 @@ func (c Config) Validate() error {
 	}
 	if c.FleetScrape != 0 && c.FleetScrape < time.Second {
 		return fmt.Errorf("-fleet-scrape must be 0 or >= 1s, got %v", c.FleetScrape)
-	}
-	if c.ProfileCPU <= 0 {
-		return fmt.Errorf("-profile-cpu must be > 0, got %v", c.ProfileCPU)
 	}
 	if c.Advertise != "" {
 		u, err := url.Parse(c.Advertise)

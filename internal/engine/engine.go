@@ -24,7 +24,6 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,9 +158,6 @@ type Engine struct {
 	fleetOnce sync.Once
 	fleet     *fleet.Scraper
 
-	profOnce sync.Once
-	profiles *fleet.ProfileRing
-
 	// peerSource supplies the fleet roster (func() []fleet.Peer); set by
 	// the serve command once the replication role is known, read lazily
 	// at scrape time so wiring order does not matter.
@@ -203,17 +199,6 @@ func New(cfg Config) (*Engine, error) {
 	info := buildInfo.With(bi.Version, bi.GoVersion, bi.Revision)
 	info.Set(0)
 	e.Subscribe(func(g *Generation) { info.Set(float64(g.Seq)) })
-	if cfg.ProfileOnBreach {
-		// Breach-triggered profiling: evaluate objectives on every rollup
-		// tick (hooks run outside the rollup lock) and capture profiles in
-		// the background on each ok→breached transition, tagged with the
-		// objectives that tripped.
-		e.SLO().SetOnBreach(func(objectives []string) {
-			obs.Logger().Warn("SLO breach: capturing profiles", "objectives", objectives)
-			e.Profiles().CaptureAsync("breach", strings.Join(objectives, ","))
-		})
-		e.Rollup().AddHook(func() { e.SLO().Evaluate() })
-	}
 	return e, nil
 }
 
@@ -473,19 +458,6 @@ func (e *Engine) Fleet() *fleet.Scraper {
 // built; leaders keep the default "leader" label.
 func (e *Engine) SetSelfNode(name string) {
 	e.selfNode.Store(name)
-}
-
-// Profiles returns the breach-evidence capture ring, created on first
-// use with the configured CPU window. New wires it to the SLO engine's
-// breach transitions when cfg.ProfileOnBreach is set; operators can
-// always trigger a manual capture via POST /debug/obs/profile.
-func (e *Engine) Profiles() *fleet.ProfileRing {
-	e.profOnce.Do(func() {
-		e.profiles = fleet.NewProfileRing(fleet.ProfileOptions{
-			CPUDuration: e.cfg.ProfileCPU,
-		})
-	})
-	return e.profiles
 }
 
 // SetReadyExtra registers a hook whose fields are merged into the

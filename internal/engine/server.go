@@ -124,17 +124,10 @@ func (e *Engine) Mux() *http.ServeMux {
 		Tracer:   e.tracer,
 		SLO:      e.SLO(),
 		Fleet:    e.Fleet(),
-		Profiles: e.Profiles(),
 		Peers:    e.Peers,
 	})
 	mux.Handle("/debug/obs", dashHandler)
 	mux.Handle("/debug/obs/", dashHandler)
-	// Profile capture endpoints: longest-prefix routing lets these win
-	// over the dashboard's /debug/obs/ subtree.
-	prof := e.Profiles().Handler()
-	mux.Handle("/debug/obs/profile", prof)
-	mux.Handle("/debug/obs/profiles", prof)
-	mux.Handle("/debug/obs/profiles/", prof)
 	if e.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -2,8 +2,9 @@
 // zero-dependency, server-rendered HTML view over the obs registry, the
 // rolling time-series aggregator, and the trace store. No JavaScript
 // frameworks, no external assets — sparklines are inline SVG generated
-// on the server, and the page refreshes itself with a meta tag, so the
-// dashboard works from curl's --head to a browser on an air-gapped box.
+// on the server, and the page refreshes itself every 5s with a meta
+// tag, so the dashboard works from curl's --head to a browser on an
+// air-gapped box.
 //
 // Routes (all under the handler returned by Handler):
 //
@@ -40,17 +41,9 @@ type Config struct {
 	// Fleet, when set, renders the per-node Fleet panel from the metrics
 	// federator's latest scrape.
 	Fleet *fleet.Scraper
-	// Profiles, when set, lists the breach-capture ring with download
-	// links.
-	Profiles *fleet.ProfileRing
 	// Peers supplies the fleet roster the trace view consults when asked
 	// to stitch a remote half (?remote=1).
 	Peers func() []fleet.Peer
-	// Client fetches remote trace halves; nil selects a 5s-timeout one.
-	Client *http.Client
-	// Refresh is the meta-refresh cadence; 0 selects 5s, negative
-	// disables auto-refresh.
-	Refresh time.Duration
 }
 
 // Handler returns the dashboard routes. Mount it at /debug/obs and
@@ -148,25 +141,7 @@ type fleetNodeRow struct {
 	Bad     bool
 }
 
-// profileRow is one capture in the Profiles panel; Links are the
-// per-kind download URLs.
-type profileRow struct {
-	ID      string
-	At      string
-	Trigger string
-	Context string
-	Bytes   string
-	Err     string
-	Links   []profileLink
-}
-
-type profileLink struct {
-	Kind string
-	URL  string
-}
-
 type dashData struct {
-	Refresh    int // seconds; 0 omits the meta tag
 	Window     string
 	Windows    int
 	HTTP       []redRow
@@ -178,7 +153,6 @@ type dashData struct {
 	Replica    []statRow
 	Fleet      []fleetRow
 	FleetNodes []fleetNodeRow
-	Profiles   []profileRow
 	Search     []statRow
 	Caches     []cacheRow
 	Workers    []gaugeRow
@@ -194,17 +168,7 @@ func (h *handler) dashboard(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	refresh := h.cfg.Refresh
-	if refresh == 0 {
-		refresh = 5 * time.Second
-	}
 	d := dashData{}
-	if refresh > 0 {
-		d.Refresh = int(refresh / time.Second)
-		if d.Refresh < 1 {
-			d.Refresh = 1
-		}
-	}
 	if ru := h.cfg.Rollup; ru != nil {
 		d.Window = ru.Interval().String()
 		d.Windows = ru.Windows()
@@ -229,9 +193,6 @@ func (h *handler) dashboard(w http.ResponseWriter, r *http.Request) {
 	}
 	if f := h.cfg.Fleet; f != nil {
 		d.FleetNodes = fleetNodeRows(f.Status())
-	}
-	if p := h.cfg.Profiles; p != nil {
-		d.Profiles = profileRows(p.List())
 	}
 	if t := h.cfg.Tracer; t != nil {
 		d.Exemplars = exemplarRows(t.Exemplars())
@@ -551,30 +512,6 @@ func fleetNodeRows(statuses []fleet.NodeStatus) []fleetNodeRow {
 	return rows
 }
 
-// profileRows shapes the capture ring for the Profiles panel, with a
-// download link per stored profile kind.
-func profileRows(captures []fleet.Capture) []profileRow {
-	rows := make([]profileRow, 0, len(captures))
-	for _, c := range captures {
-		row := profileRow{
-			ID:      c.ID,
-			At:      c.At.Format("15:04:05"),
-			Trigger: c.Trigger,
-			Context: c.Context,
-			Bytes:   fmtBytes(float64(c.Bytes)),
-			Err:     c.Err,
-		}
-		for _, kind := range c.Kinds {
-			row.Links = append(row.Links, profileLink{
-				Kind: kind,
-				URL:  "/debug/obs/profiles/" + c.ID + "/" + kind,
-			})
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
 // fleetRows lists every live follower's lag, straight from the
 // node-labeled pdcu_replica_fleet_lag gauge the coordinator refreshes
 // on each heartbeat.
@@ -710,7 +647,7 @@ func last(vals []float64) float64 {
 
 var dashTmpl = template.Must(template.New("dash").Parse(`<!doctype html>
 <html><head><meta charset="utf-8">
-{{if .Refresh}}<meta http-equiv="refresh" content="{{.Refresh}}">{{end}}
+<meta http-equiv="refresh" content="5">
 <title>pdcu /debug/obs</title>
 <style>
 body{font:13px/1.5 ui-monospace,Menlo,monospace;background:#11151a;color:#cdd6e0;margin:1.5em}
@@ -761,11 +698,6 @@ svg.spark{vertical-align:middle}polyline{fill:none;stroke:#6cb6ff;stroke-width:1
 <table><tr><th>node</th><th>where</th><th>scraped</th><th>req rate</th><th>5xx rate</th><th>mean latency</th><th>lag</th><th>SLO budget</th><th>series</th><th>status</th></tr>
 {{range .FleetNodes}}<tr><td>{{.Node}}</td><td class="dim">{{.Where}}</td><td class="dim">{{.Age}}</td><td class="num">{{.ReqRate}}</td><td class="num">{{.ErrRate}}</td><td class="num">{{.MeanLat}}</td><td class="num">{{.Lag}}</td><td class="num">{{.Budget}}</td><td class="num">{{.Series}}</td><td{{if .Bad}} class="bad"{{end}}>{{.Status}}</td></tr>
 {{else}}<tr><td class="dim" colspan="10">no fleet scrape yet (run with -fleet-scrape, or hit /metrics/fleet)</td></tr>{{end}}</table>
-
-<h2>Captured profiles <span class="dim">(breach-triggered + <code>POST /debug/obs/profile</code>)</span></h2>
-<table><tr><th>capture</th><th>at</th><th>trigger</th><th>context</th><th>size</th><th>download</th><th></th></tr>
-{{range .Profiles}}<tr><td>{{.ID}}</td><td>{{.At}}</td><td>{{.Trigger}}</td><td class="dim">{{.Context}}</td><td class="num">{{.Bytes}}</td><td>{{range .Links}}<a href="{{.URL}}">{{.Kind}}</a> {{end}}</td><td class="bad">{{.Err}}</td></tr>
-{{else}}<tr><td class="dim" colspan="7">no captures yet</td></tr>{{end}}</table>
 
 <h2>Search index</h2>
 <table><tr>{{range .Search}}<th>{{.Name}}</th>{{end}}</tr>

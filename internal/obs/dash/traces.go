@@ -112,7 +112,7 @@ func (h *handler) traceView(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			peersAsked = append(peersAsked, p.Node)
-			remote, ok, err := trace.FetchRemote(r.Context(), h.cfg.Client, p.URL, id)
+			remote, ok, err := trace.FetchRemote(r.Context(), nil, p.URL, id)
 			if err != nil {
 				obs.Logger().Warn("remote trace fetch failed", "peer", p.Node, "err", err)
 				continue

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -233,82 +232,5 @@ func TestScraperHandlerColdScrape(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics/fleet", nil))
 	if !strings.Contains(rec.Body.String(), `cold_gauge{node="n0"} 7`) {
 		t.Errorf("cold handler body = %q", rec.Body.String())
-	}
-}
-
-func TestProfileRingCaptureAndServe(t *testing.T) {
-	p := NewProfileRing(ProfileOptions{CPUDuration: 20 * time.Millisecond})
-	c, err := p.Capture(context.Background(), "manual", "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Kinds) != 3 || c.Bytes == 0 {
-		t.Fatalf("capture = kinds %v bytes %d", c.Kinds, c.Bytes)
-	}
-
-	// List + download via the handler.
-	h := p.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/obs/profiles", nil))
-	var list []Capture
-	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil || len(list) != 1 {
-		t.Fatalf("profile list = %v %s", err, rec.Body.String())
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
-		"/debug/obs/profiles/"+c.ID+"/goroutine", nil))
-	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
-		t.Fatalf("profile download = %d, %d bytes", rec.Code, rec.Body.Len())
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
-		"/debug/obs/profiles/nope/cpu", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("missing profile download = %d, want 404", rec.Code)
-	}
-
-	// Manual trigger over HTTP with a bounded CPU window.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
-		"/debug/obs/profile?cpu=10ms&note=hi", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("manual capture = %d: %s", rec.Code, rec.Body.String())
-	}
-	var got Capture
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.Context != "hi" {
-		t.Errorf("manual capture body = %v %+v", err, got)
-	}
-}
-
-func TestProfileRingBreachSuppression(t *testing.T) {
-	p := NewProfileRing(ProfileOptions{
-		CPUDuration: 5 * time.Millisecond,
-		MinInterval: time.Hour,
-	})
-	if _, err := p.Capture(context.Background(), "breach", "latency"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Capture(context.Background(), "breach", "latency"); err == nil {
-		t.Error("second breach capture within MinInterval succeeded, want suppression")
-	}
-	// Manual captures are never suppressed.
-	if _, err := p.Capture(context.Background(), "manual", ""); err != nil {
-		t.Errorf("manual capture after breach = %v", err)
-	}
-}
-
-func TestProfileRingEviction(t *testing.T) {
-	p := NewProfileRing(ProfileOptions{CPUDuration: time.Millisecond, MaxCaptures: 2})
-	for i := 0; i < 3; i++ {
-		if _, err := p.Capture(context.Background(), "manual", ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	list := p.List()
-	if len(list) != 2 {
-		t.Fatalf("ring holds %d captures, want 2", len(list))
-	}
-	if list[0].ID != "cap-003" || list[1].ID != "cap-002" {
-		t.Errorf("ring kept %s, %s — want newest two", list[0].ID, list[1].ID)
 	}
 }

@@ -1,11 +1,10 @@
 // Package fleet is the cross-node observability layer: a metrics
 // federator that scrapes every heartbeating replica's /metrics and
 // re-serves the union under node labels (/metrics/fleet), per-node RED
-// summaries for the dashboard's Fleet panel, and a breach-triggered
-// pprof capture ring (profile.go) that preserves the evidence of an SLO
-// burn. Every node's metrics are held as obs.FamilySnapshot: self is
-// read in-process with Registry.Gather, a peer is just a base URL whose
-// /metrics body obs.ParseExposition turns into the same type.
+// summaries for the dashboard's Fleet panel. Every node's metrics are
+// held as obs.FamilySnapshot: self is read in-process with
+// Registry.Gather, a peer is just a base URL whose /metrics body
+// obs.ParseExposition turns into the same type.
 package fleet
 
 import (
@@ -50,9 +49,11 @@ type Options struct {
 	// pass so a follower joining the fleet is picked up automatically.
 	// Nil means self-only.
 	Peers func() []Peer
-	// Client fetches peer /metrics (default 5s timeout).
-	Client *http.Client
 }
+
+// peerClient fetches peer /metrics; its timeout also bounds each peer's
+// share of a scrape pass.
+var peerClient = &http.Client{Timeout: 5 * time.Second}
 
 // nodeScrape is the latest snapshot of one node's metrics, plus the
 // previous pass's totals so Status can report rates as deltas.
@@ -117,9 +118,6 @@ func New(self *obs.Registry, opts Options) *Scraper {
 	}
 	if opts.SelfNode == "" {
 		opts.SelfNode = "self"
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 5 * time.Second}
 	}
 	return &Scraper{self: self, opts: opts, nodes: map[string]*nodeScrape{}}
 }
@@ -206,13 +204,13 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) {
 }
 
 func (s *Scraper) scrapePeer(ctx context.Context, base string) ([]obs.FamilySnapshot, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.opts.Client.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, peerClient.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.opts.Client.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"pdcunplugged/internal/obs"
@@ -123,13 +122,6 @@ type Engine struct {
 	burn     *obs.Gauge
 	breached *obs.Gauge
 	evals    *obs.Counter
-
-	// Breach-transition tracking for SetOnBreach: wasBreached remembers
-	// each objective's previous verdict so the callback fires only on
-	// the ok→breached edge, not on every evaluation while burning.
-	mu          sync.Mutex
-	wasBreached map[string]bool
-	onBreach    func(objectives []string)
 }
 
 // New wires an engine to reg (where the pdcu_slo_* gauges register) and
@@ -159,17 +151,6 @@ func New(reg *obs.Registry, ru *obs.Rollup, objectives []Objective, opts Options
 // Objectives returns the declared objectives.
 func (e *Engine) Objectives() []Objective { return e.objectives }
 
-// SetOnBreach registers a callback fired once per ok→breached
-// transition, with the names of the objectives that just tripped. The
-// callback runs outside the engine's lock on the evaluating goroutine
-// (the rollup tick, in production) — anything slow should hand off, the
-// way the profile ring's CaptureAsync does.
-func (e *Engine) SetOnBreach(fn func(objectives []string)) {
-	e.mu.Lock()
-	e.onBreach = fn
-	e.mu.Unlock()
-}
-
 // Evaluate computes every objective's status from the rollup's current
 // windows and updates the pdcu_slo_* gauges. It is cheap enough to run
 // per scrape or per dashboard render.
@@ -187,24 +168,6 @@ func (e *Engine) Evaluate() []Status {
 			e.breached.With(o.Name).Set(0)
 		}
 		out = append(out, st)
-	}
-
-	// Fire the breach hook on fresh transitions only.
-	var fresh []string
-	e.mu.Lock()
-	if e.wasBreached == nil {
-		e.wasBreached = make(map[string]bool, len(out))
-	}
-	for _, st := range out {
-		if st.Breached && !e.wasBreached[st.Name] {
-			fresh = append(fresh, st.Name)
-		}
-		e.wasBreached[st.Name] = st.Breached
-	}
-	fn := e.onBreach
-	e.mu.Unlock()
-	if fn != nil && len(fresh) > 0 {
-		fn(fresh)
 	}
 	return out
 }

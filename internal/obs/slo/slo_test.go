@@ -174,57 +174,6 @@ func TestNoDataNeverBreaches(t *testing.T) {
 	}
 }
 
-// TestOnBreachFiresOnTransition pins the edge semantics: the callback
-// fires once when an objective trips, stays silent while it keeps
-// burning, and fires again only after a recovery and a fresh breach.
-func TestOnBreachFiresOnTransition(t *testing.T) {
-	reg, ru := fixture()
-	dur := reg.Histogram("pdcu_query_duration_seconds", "lat", obs.QueryBuckets(), "endpoint")
-	eng := New(reg, ru, DefaultObjectives(), Options{FastWindows: 1})
-
-	var fired [][]string
-	eng.SetOnBreach(func(objs []string) { fired = append(fired, objs) })
-
-	// Healthy window: no callback.
-	dur.With("search").Observe(0.0001)
-	ru.Collect()
-	eng.Evaluate()
-	if len(fired) != 0 {
-		t.Fatalf("callback fired on healthy traffic: %v", fired)
-	}
-
-	// Breach window: fires exactly once, even across repeat evaluations.
-	for i := 0; i < 500; i++ {
-		dur.With("search").Observe(0.1)
-	}
-	ru.Collect()
-	eng.Evaluate()
-	eng.Evaluate()
-	if len(fired) != 1 || fired[0][0] != "query-latency" {
-		t.Fatalf("breach callbacks = %v, want one [query-latency]", fired)
-	}
-
-	// Recovery (fast window goes clean), then a second breach: fires again.
-	for w := 0; w < 2; w++ {
-		for i := 0; i < 5000; i++ {
-			dur.With("search").Observe(0.0001)
-		}
-		ru.Collect()
-	}
-	eng.Evaluate()
-	if len(fired) != 1 {
-		t.Fatalf("callback fired during recovery: %v", fired)
-	}
-	for i := 0; i < 100000; i++ {
-		dur.With("search").Observe(0.1)
-	}
-	ru.Collect()
-	eng.Evaluate()
-	if len(fired) != 2 {
-		t.Fatalf("second breach callbacks = %v, want two", fired)
-	}
-}
-
 func TestHandlerStatusCodes(t *testing.T) {
 	reg, ru := fixture()
 	dur := reg.Histogram("pdcu_query_duration_seconds", "lat", obs.QueryBuckets(), "endpoint")
