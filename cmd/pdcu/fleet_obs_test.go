@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +138,40 @@ func TestFleetObsSmoke(t *testing.T) {
 			len(wire.Spans), len(fetch.Spans))
 	}
 
+	// --- Per-layer breakdown on /debug/obs ----------------------------
+
+	// Both engines read the shared process registry, so this asserts
+	// presence, not per-node absence: the leader's Layers panel lists
+	// the publish layers, and the follower's replica.decode row links to
+	// the follower's own fetch trace.
+	leaderEng.Rollup().Collect()
+	folEng.Rollup().Collect()
+	leaderLayers := layerCells(t, leaderSrv.URL)
+	for _, phase := range []string{"engine.load", "site.build", "search.build_index"} {
+		row, ok := leaderLayers[phase]
+		if !ok {
+			t.Errorf("leader Layers panel has no %s row", phase)
+			continue
+		}
+		if n, err := strconv.ParseFloat(row[1], 64); err != nil || n < 1 {
+			t.Errorf("leader %s count = %q, want >= 1", phase, row[1])
+		}
+	}
+	decode, ok := layerCells(t, folSrv.URL)["replica.decode"]
+	link := "/debug/obs/traces/" + fetch.ID.String()
+	if !ok || !strings.Contains(decode[len(decode)-1], `href="`+link+`"`) {
+		t.Errorf("follower replica.decode row = %q, want a link to %s", decode, link)
+	}
+	resp, err = http.Get(folSrv.URL + link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("follower %s = %d, want 200", link, resp.StatusCode)
+	}
+
 	// --- Metrics federation -------------------------------------------
 
 	// The leader's roster comes from the follower's heartbeat (which
@@ -228,3 +264,36 @@ func TestFleetObsSmoke(t *testing.T) {
 		t.Errorf("/slo does not name query-latency as breached: %+v", report.Objectives)
 	}
 }
+
+// layerCells fetches a node's /debug/obs and returns its Layers panel
+// as cell contents keyed by layer name.
+func layerCells(t *testing.T, base string) map[string][]string {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s/debug/obs = %d", base, resp.StatusCode)
+	}
+	_, panel, ok := strings.Cut(string(body), "<h2>Layers")
+	if !ok {
+		t.Fatalf("%s/debug/obs has no Layers panel", base)
+	}
+	panel, _, _ = strings.Cut(panel, "<h2>")
+	rows := map[string][]string{}
+	for _, tr := range strings.Split(panel, "<tr>") {
+		var cells []string
+		for _, m := range tdCell.FindAllStringSubmatch(tr, -1) {
+			cells = append(cells, m[1])
+		}
+		if len(cells) == 7 {
+			rows[cells[0]] = cells
+		}
+	}
+	return rows
+}
+
+var tdCell = regexp.MustCompile(`<td[^>]*>(.*?)</td>`)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pdcunplugged"
 	"pdcunplugged/internal/corpus"
@@ -158,19 +159,10 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(data)
-	for _, want := range []string{
+	want := []string{
 		`pdcu_http_requests_total{path="/",code="200"}`,
 		`pdcu_http_requests_total{path="/views",code="200"}`,
 		`pdcu_http_requests_total{path="` + obs.NotFoundRoute + `",code="404"}`,
@@ -178,10 +170,33 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		`pdcu_phase_seconds_count{phase="site.build"}`,
 		"# TYPE pdcu_engine_generation gauge",
 		"# TYPE pdcu_engine_publish_duration_seconds histogram",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
+	}
+	// The middleware counts a request after its handler returns, which
+	// can be after the client has read the whole body: poll until every
+	// series appears, for a bounded time.
+	var missing []string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
 		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing = missing[:0]
+		for _, w := range want {
+			if !strings.Contains(string(data), w) {
+				missing = append(missing, w)
+			}
+		}
+		if len(missing) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, w := range missing {
+		t.Errorf("/metrics missing %q", w)
 	}
 }
 

@@ -235,7 +235,7 @@ func loadStamped(s Source) ([]*activity.Activity, error) {
 }
 
 // sourceActivities reports how many activities each source contributes
-// to the published generation; the /debug/obs Corpus panel reads it.
+// to the published generation, on /metrics.
 var sourceActivities = obs.Default().Gauge(
 	"pdcu_corpus_source_activities",
 	"Activities contributed by each corpus source in the published generation.",

@@ -119,12 +119,11 @@ func (e *Engine) Mux() *http.ServeMux {
 	// is breached, with the full burn-rate accounting in the body.
 	mux.Handle("/slo", e.SLO().Handler())
 	dashHandler := dash.Handler(dash.Config{
-		Registry: obs.Default(),
-		Rollup:   e.Rollup(),
-		Tracer:   e.tracer,
-		SLO:      e.SLO(),
-		Fleet:    e.Fleet(),
-		Peers:    e.Peers,
+		Rollup: e.Rollup(),
+		Tracer: e.tracer,
+		SLO:    e.SLO(),
+		Fleet:  e.Fleet(),
+		Peers:  e.Peers,
 	})
 	mux.Handle("/debug/obs", dashHandler)
 	mux.Handle("/debug/obs/", dashHandler)

@@ -1,6 +1,10 @@
 // Package dash renders the /debug/obs operational dashboard: a
-// zero-dependency, server-rendered HTML view over the obs registry, the
-// rolling time-series aggregator, and the trace store. No JavaScript
+// zero-dependency, server-rendered HTML view over the rolling
+// time-series aggregator, the trace store, the SLO engine and the fleet
+// federator. It answers "where did the time go?": the Layers panel
+// breaks pdcu_phase_seconds down by span name, and each row links to
+// the retained trace holding that layer's slowest span. Totals that
+// only restate a metric family stay on /metrics. No JavaScript
 // frameworks, no external assets — sparklines are inline SVG generated
 // on the server, and the page refreshes itself every 5s with a meta
 // tag, so the dashboard works from curl's --head to a browser on an
@@ -8,8 +12,8 @@
 //
 // Routes (all under the handler returned by Handler):
 //
-//	/debug/obs            HTML dashboard: RED series, caches, workers,
-//	                      runtime stats, exemplars, recent traces
+//	/debug/obs            HTML dashboard: HTTP and query RED series,
+//	                      SLOs, layers, fleet, recent traces
 //	/debug/obs/traces     JSON list of retained traces, pinned first
 //	/debug/obs/traces/:id HTML waterfall for one trace (?format=json
 //	                      for the raw span data)
@@ -32,9 +36,8 @@ import (
 // Config wires the dashboard to the observability substrate. Any field
 // may be nil; the corresponding panels render empty.
 type Config struct {
-	Registry *obs.Registry
-	Rollup   *obs.Rollup
-	Tracer   *trace.Tracer
+	Rollup *obs.Rollup
+	Tracer *trace.Tracer
 	// SLO, when set, renders the objective panel with budget-remaining
 	// gauges and burn rates (one Evaluate per page render).
 	SLO *slo.Engine
@@ -72,26 +75,6 @@ type redRow struct {
 	LastMean string
 }
 
-// cacheRow is one memoization layer's hit accounting.
-type cacheRow struct {
-	Name   string
-	Hits   float64
-	Misses float64
-	Ratio  string
-}
-
-// gaugeRow is a labeled gauge with its windowed history.
-type gaugeRow struct {
-	Label string
-	Spark template.HTML
-	Last  string
-}
-
-type statRow struct {
-	Name  string
-	Value string
-}
-
 // sloRow is one objective's line in the SLO panel.
 type sloRow struct {
 	Name        string
@@ -106,13 +89,17 @@ type sloRow struct {
 	Bad         bool
 }
 
-type exemplarRow struct {
-	Series string
-	Label  string
-	Bucket string
-	Value  string
-	Age    string
-	ID     string
+// layerRow is one phase of pdcu_phase_seconds over the retained
+// windows, linked to the retained trace with its slowest span.
+type layerRow struct {
+	Phase string
+	Count string
+	Total string
+	Mean  string
+	P50   string
+	P90   string
+	Trace string // hex trace ID; empty when no retained trace has the span
+	total float64
 }
 
 type traceRow struct {
@@ -147,18 +134,8 @@ type dashData struct {
 	HTTP       []redRow
 	Query      []redRow
 	SLO        []sloRow
-	Engine     []statRow
-	Corpus     []corpusRow
-	Contrib    []statRow
-	Replica    []statRow
-	Fleet      []fleetRow
+	Layers     []layerRow
 	FleetNodes []fleetNodeRow
-	Search     []statRow
-	Caches     []cacheRow
-	Workers    []gaugeRow
-	Runtime    []statRow
-	RtSparks   []gaugeRow
-	Exemplars  []exemplarRow
 	Traces     []traceRow
 	Retained   int
 }
@@ -168,25 +145,16 @@ func (h *handler) dashboard(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	d := dashData{}
+	// One read of the trace store serves the Layers links and the
+	// Recent traces list.
+	retained := h.cfg.Tracer.Store().List()
+	d := dashData{Retained: len(retained)}
 	if ru := h.cfg.Rollup; ru != nil {
 		d.Window = ru.Interval().String()
 		d.Windows = ru.Windows()
 		d.HTTP = h.redRows("pdcu_http_requests_total", "pdcu_http_request_duration_seconds", "path")
 		d.Query = h.redRows("pdcu_query_requests_total", "pdcu_query_duration_seconds", "endpoint")
-		d.Workers = h.gaugeRows("pdcu_build_workers_busy", "stage")
-		d.RtSparks = append(h.gaugeRows("pdcu_runtime_goroutines", ""),
-			h.gaugeRows("pdcu_runtime_heap_alloc_bytes", "")...)
-	}
-	if reg := h.cfg.Registry; reg != nil {
-		d.Engine = engineRows(reg)
-		d.Corpus = corpusRows(reg)
-		d.Contrib = contribRows(reg)
-		d.Replica = replicaRows(reg)
-		d.Fleet = fleetRows(reg)
-		d.Search = searchIndexRows(reg)
-		d.Caches = cacheRows(reg)
-		d.Runtime = runtimeRows(reg)
+		d.Layers = layerRows(ru, retained)
 	}
 	if s := h.cfg.SLO; s != nil {
 		d.SLO = sloRows(s.Evaluate())
@@ -194,10 +162,7 @@ func (h *handler) dashboard(w http.ResponseWriter, r *http.Request) {
 	if f := h.cfg.Fleet; f != nil {
 		d.FleetNodes = fleetNodeRows(f.Status())
 	}
-	if t := h.cfg.Tracer; t != nil {
-		d.Exemplars = exemplarRows(t.Exemplars())
-		d.Traces, d.Retained = traceRows(t.Store(), 50)
-	}
+	d.Traces = traceRows(retained, 50)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := dashTmpl.Execute(w, d); err != nil {
 		obs.Logger().Warn("dashboard render failed", "err", err)
@@ -252,56 +217,6 @@ func (h *handler) redRows(counterFam, histFam, key string) []redRow {
 			Mean:     spark(means[ep], 140, 28),
 			LastMean: fmtSeconds(last(means[ep])),
 		})
-	}
-	return rows
-}
-
-// gaugeRows renders every labeled series of one gauge family.
-func (h *handler) gaugeRows(fam, key string) []gaugeRow {
-	var rows []gaugeRow
-	for _, ts := range h.cfg.Rollup.Series(fam) {
-		vals := make([]float64, len(ts.Values))
-		for i := range ts.Values {
-			vals[i] = ts.Values[i].V
-		}
-		label := ts.Labels[key]
-		if label == "" {
-			label = strings.TrimPrefix(fam, "pdcu_runtime_")
-		}
-		lastStr := fmtNum(last(vals))
-		if strings.HasSuffix(fam, "_bytes") {
-			lastStr = fmtBytes(last(vals))
-		}
-		rows = append(rows, gaugeRow{Label: label, Spark: spark(vals, 140, 28), Last: lastStr})
-	}
-	return rows
-}
-
-// cacheFamilies names every memoization layer with a result label; the
-// dashboard computes hit ratios from their live totals.
-var cacheFamilies = []struct{ fam, title string }{
-	{"pdcu_query_cache_total", "query results"},
-	{"pdcu_site_page_cache_total", "site pages"},
-}
-
-func cacheRows(reg *obs.Registry) []cacheRow {
-	rows := make([]cacheRow, 0, len(cacheFamilies))
-	for _, cf := range cacheFamilies {
-		row := cacheRow{Name: cf.title}
-		for _, s := range reg.Snapshot(cf.fam) {
-			switch s.Labels["result"] {
-			case "hit":
-				row.Hits += s.Value
-			case "miss":
-				row.Misses += s.Value
-			}
-		}
-		if denom := row.Hits + row.Misses; denom > 0 {
-			row.Ratio = fmtPct(row.Hits / denom)
-		} else {
-			row.Ratio = "–"
-		}
-		rows = append(rows, row)
 	}
 	return rows
 }
@@ -364,119 +279,6 @@ func fmtBurn(v float64) string {
 	return fmt.Sprintf("%.2fx", v)
 }
 
-// engineRows summarizes the generation pipeline: which generation is
-// live, how many publishes have happened, and what a publish costs.
-func engineRows(reg *obs.Registry) []statRow {
-	var gen float64
-	if s := reg.Snapshot("pdcu_engine_generation"); len(s) == 1 {
-		gen = s[0].Value
-	}
-	var publishes uint64
-	var sum float64
-	if s := reg.Snapshot("pdcu_engine_publish_duration_seconds"); len(s) == 1 {
-		publishes = s[0].Count
-		sum = s[0].Sum
-	}
-	mean := 0.0
-	if publishes > 0 {
-		mean = sum / float64(publishes)
-	}
-	return []statRow{
-		{"generation", fmtNum(gen)},
-		{"publishes", fmtNum(float64(publishes))},
-		{"mean publish", fmtSeconds(mean)},
-	}
-}
-
-// corpusRow is one corpus source's line in the Corpus panel.
-type corpusRow struct {
-	Source     string
-	Activities string
-}
-
-// corpusRows lists per-source activity counts from the
-// pdcu_corpus_source_activities gauge the loader (and every snapshot
-// adoption) refreshes, so a follower's panel reflects the leader's
-// federation.
-func corpusRows(reg *obs.Registry) []corpusRow {
-	snaps := reg.Snapshot("pdcu_corpus_source_activities")
-	rows := make([]corpusRow, 0, len(snaps))
-	for _, s := range snaps {
-		if s.Value == 0 {
-			continue // a source that vanished on the last publish
-		}
-		rows = append(rows, corpusRow{Source: s.Labels["source"], Activities: fmtNum(s.Value)})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Source < rows[j].Source })
-	return rows
-}
-
-// contribRows summarizes /api/v1/contrib/validate traffic by review
-// outcome from the pdcu_contrib_requests_total counter.
-func contribRows(reg *obs.Registry) []statRow {
-	byOutcome := map[string]float64{}
-	total := 0.0
-	for _, s := range reg.Snapshot("pdcu_contrib_requests_total") {
-		byOutcome[s.Labels["outcome"]] += s.Value
-		total += s.Value
-	}
-	rows := []statRow{{"validations", fmtNum(total)}}
-	for _, outcome := range []string{"accepted", "needs_work", "bad_request", "shed", "unavailable"} {
-		rows = append(rows, statRow{outcome, fmtNum(byOutcome[outcome])})
-	}
-	return rows
-}
-
-// fleetRow is one follower's line in the Replication panel.
-type fleetRow struct {
-	Node string
-	Lag  string
-}
-
-// replicaRows summarizes the replication tier from the pdcu_replica_*
-// series: this node's role and lag, the encoded snapshot footprint,
-// fetch traffic, and the size of the fleet it coordinates.
-func replicaRows(reg *obs.Registry) []statRow {
-	get := func(name string) float64 {
-		if s := reg.Snapshot(name); len(s) == 1 {
-			return s[0].Value
-		}
-		return 0
-	}
-	role := "—"
-	for _, s := range reg.Snapshot("pdcu_replica_role") {
-		if s.Value == 1 {
-			role = s.Labels["role"]
-		}
-	}
-	var fetches, adopted float64
-	for _, s := range reg.Snapshot("pdcu_replica_fetch_total") {
-		fetches += s.Value
-		if s.Labels["result"] == "adopted" {
-			adopted += s.Value
-		}
-	}
-	rows := []statRow{
-		{"role", role},
-		{"snapshot", fmtBytes(get("pdcu_replica_snapshot_bytes"))},
-		{"followers", fmtNum(get("pdcu_replica_fleet_followers"))},
-	}
-	if role == "follower" {
-		// Mean fetch-cycle wall time straight from the follower's
-		// pdcu_replica_fetch_duration_seconds histogram totals.
-		fetchMean := 0.0
-		if s := reg.Snapshot("pdcu_replica_fetch_duration_seconds"); len(s) == 1 && s[0].Count > 0 {
-			fetchMean = s[0].Sum / float64(s[0].Count)
-		}
-		rows = append(rows,
-			statRow{"lag", fmtNum(get("pdcu_replica_lag"))},
-			statRow{"fetches", fmtNum(fetches)},
-			statRow{"adopted", fmtNum(adopted)},
-			statRow{"mean fetch", fmtSeconds(fetchMean)})
-	}
-	return rows
-}
-
 // fleetNodeRows shapes the federator's per-node summaries for the Fleet
 // panel: RED rates side by side for every node, replica lag, and the
 // tightest SLO budget each node reports.
@@ -512,77 +314,50 @@ func fleetNodeRows(statuses []fleet.NodeStatus) []fleetNodeRow {
 	return rows
 }
 
-// fleetRows lists every live follower's lag, straight from the
-// node-labeled pdcu_replica_fleet_lag gauge the coordinator refreshes
-// on each heartbeat.
-func fleetRows(reg *obs.Registry) []fleetRow {
-	var rows []fleetRow
-	for _, s := range reg.Snapshot("pdcu_replica_fleet_lag") {
-		rows = append(rows, fleetRow{Node: s.Labels["node"], Lag: fmtNum(s.Value)})
+// layerRows breaks pdcu_phase_seconds down by phase over every retained
+// window, largest total time first. One scan of the retained traces
+// finds, per span name, the trace holding the slowest such span.
+func layerRows(ru *obs.Rollup, retained []trace.Data) []layerRow {
+	type slowest struct {
+		d  time.Duration
+		id trace.TraceID
 	}
+	slow := map[string]slowest{}
+	for _, d := range retained {
+		for _, sp := range d.Spans {
+			if cur, ok := slow[sp.Name]; !ok || sp.Duration > cur.d {
+				slow[sp.Name] = slowest{sp.Duration, d.ID}
+			}
+		}
+	}
+	var rows []layerRow
+	for _, ts := range ru.Series("pdcu_phase_seconds") {
+		phase := ts.Labels["phase"]
+		hs, _ := ru.HistOver("pdcu_phase_seconds", 0, func(l map[string]string) bool { return l["phase"] == phase })
+		if hs.Count == 0 {
+			continue
+		}
+		row := layerRow{
+			Phase: phase,
+			Count: fmtNum(hs.Count),
+			Total: fmtSeconds(hs.Sum),
+			Mean:  fmtSeconds(hs.Sum / hs.Count),
+			P50:   fmtSeconds(hs.Quantile(0.5)),
+			P90:   fmtSeconds(hs.Quantile(0.9)),
+			total: hs.Sum,
+		}
+		if s, ok := slow[phase]; ok {
+			row.Trace = s.id.String()
+		}
+		rows = append(rows, row)
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].total > rows[j].total })
 	return rows
 }
 
-// searchIndexRows summarizes the live search index from the
-// pdcu_search_index_* gauges Build refreshes on every generation:
-// corpus and vocabulary size, postings volume, and what the inverted
-// file plus the facet bitsets cost in memory and build time.
-func searchIndexRows(reg *obs.Registry) []statRow {
-	get := func(name string) float64 {
-		if s := reg.Snapshot(name); len(s) == 1 {
-			return s[0].Value
-		}
-		return 0
-	}
-	return []statRow{
-		{"docs", fmtNum(get("pdcu_search_index_docs"))},
-		{"vocabulary", fmtNum(get("pdcu_search_index_vocabulary"))},
-		{"postings", fmtBytes(get("pdcu_search_index_postings_bytes"))},
-		{"facet bitsets", fmtBytes(get("pdcu_search_index_bitset_bytes"))},
-		{"build", fmtSeconds(get("pdcu_search_index_build_seconds"))},
-	}
-}
-
-func runtimeRows(reg *obs.Registry) []statRow {
-	get := func(name string) float64 {
-		if s := reg.Snapshot(name); len(s) == 1 {
-			return s[0].Value
-		}
-		return 0
-	}
-	return []statRow{
-		{"goroutines", fmtNum(get("pdcu_runtime_goroutines"))},
-		{"heap alloc", fmtBytes(get("pdcu_runtime_heap_alloc_bytes"))},
-		{"heap objects", fmtNum(get("pdcu_runtime_heap_objects"))},
-		{"sys", fmtBytes(get("pdcu_runtime_sys_bytes"))},
-		{"gc cycles", fmtNum(get("pdcu_runtime_gc_cycles"))},
-		{"last gc pause", fmtSeconds(get("pdcu_runtime_gc_pause_seconds"))},
-	}
-}
-
-func exemplarRows(exs []trace.Exemplar) []exemplarRow {
-	rows := make([]exemplarRow, 0, len(exs))
-	for _, ex := range exs {
-		bucket := "+Inf"
-		if !ex.Inf {
-			bucket = "≤ " + fmtSeconds(ex.Bound)
-		}
-		rows = append(rows, exemplarRow{
-			Series: ex.Series,
-			Label:  ex.Label,
-			Bucket: bucket,
-			Value:  fmtSeconds(ex.Value),
-			Age:    fmtAge(time.Since(ex.Time)),
-			ID:     ex.ID,
-		})
-	}
-	return rows
-}
-
-func traceRows(store *trace.Store, limit int) ([]traceRow, int) {
-	all := store.List()
-	rows := make([]traceRow, 0, min(limit, len(all)))
-	for _, d := range all {
+func traceRows(retained []trace.Data, limit int) []traceRow {
+	rows := make([]traceRow, 0, min(limit, len(retained)))
+	for _, d := range retained {
 		if len(rows) == limit {
 			break
 		}
@@ -596,7 +371,7 @@ func traceRows(store *trace.Store, limit int) ([]traceRow, int) {
 			Err:      d.Err,
 		})
 	}
-	return rows, len(all)
+	return rows
 }
 
 // addWindows accumulates window deltas into per-endpoint slices, padding
@@ -677,50 +452,15 @@ svg.spark{vertical-align:middle}polyline{fill:none;stroke:#6cb6ff;stroke-width:1
 {{range .SLO}}<tr><td title="{{.Description}}">{{.Name}}</td><td class="num">{{.Target}}</td><td>{{.Budget}}</td><td class="num">{{.BudgetPct}}</td><td class="num">{{.FastBurn}}</td><td class="num">{{.SlowBurn}}</td><td class="num">{{.Events}}</td><td{{if .Bad}} class="bad"{{end}}>{{.Status}}</td></tr>
 {{else}}<tr><td class="dim" colspan="8">no SLO engine wired</td></tr>{{end}}</table>
 
-<h2>Engine</h2>
-<table><tr>{{range .Engine}}<th>{{.Name}}</th>{{end}}</tr>
-<tr>{{range .Engine}}<td class="num">{{.Value}}</td>{{end}}</tr></table>
-
-<h2>Corpus <span class="dim">(federated sources · <a href="/api/v1/facets">/api/v1/facets</a>)</span></h2>
-<table><tr><th>source</th><th>activities</th></tr>
-{{range .Corpus}}<tr><td>{{.Source}}</td><td class="num">{{.Activities}}</td></tr>
-{{else}}<tr><td class="dim" colspan="2">no source-stamped corpus (embedded curation)</td></tr>{{end}}</table>
-<table><tr>{{range .Contrib}}<th>{{.Name}}</th>{{end}}</tr>
-<tr>{{range .Contrib}}<td class="num">{{.Value}}</td>{{end}}</tr></table>
-
-<h2>Replication <span class="dim">(<a href="/replica/v1/fleet">/replica/v1/fleet</a>)</span></h2>
-<table><tr>{{range .Replica}}<th>{{.Name}}</th>{{end}}</tr>
-<tr>{{range .Replica}}<td class="num">{{.Value}}</td>{{end}}</tr></table>
-{{if .Fleet}}<table><tr><th>follower</th><th>lag</th></tr>
-{{range .Fleet}}<tr><td>{{.Node}}</td><td class="num">{{.Lag}}</td></tr>{{end}}</table>{{end}}
+<h2>Layers <span class="dim">(pdcu_phase_seconds over the retained windows, by total time)</span></h2>
+<table><tr><th>layer</th><th>count</th><th>total</th><th>mean</th><th>p50</th><th>p90</th><th>slowest span's trace</th></tr>
+{{range .Layers}}<tr><td>{{.Phase}}</td><td class="num">{{.Count}}</td><td class="num">{{.Total}}</td><td class="num">{{.Mean}}</td><td class="num">{{.P50}}</td><td class="num">{{.P90}}</td><td>{{if .Trace}}<a href="/debug/obs/traces/{{.Trace}}">{{.Trace}}</a>{{else}}<span class="dim">not retained</span>{{end}}</td></tr>
+{{else}}<tr><td class="dim" colspan="7">no spans in the retained windows yet</td></tr>{{end}}</table>
 
 <h2>Fleet <span class="dim">(<a href="/metrics/fleet">/metrics/fleet</a>, federated scrape)</span></h2>
 <table><tr><th>node</th><th>where</th><th>scraped</th><th>req rate</th><th>5xx rate</th><th>mean latency</th><th>lag</th><th>SLO budget</th><th>series</th><th>status</th></tr>
 {{range .FleetNodes}}<tr><td>{{.Node}}</td><td class="dim">{{.Where}}</td><td class="dim">{{.Age}}</td><td class="num">{{.ReqRate}}</td><td class="num">{{.ErrRate}}</td><td class="num">{{.MeanLat}}</td><td class="num">{{.Lag}}</td><td class="num">{{.Budget}}</td><td class="num">{{.Series}}</td><td{{if .Bad}} class="bad"{{end}}>{{.Status}}</td></tr>
 {{else}}<tr><td class="dim" colspan="10">no fleet scrape yet (run with -fleet-scrape, or hit /metrics/fleet)</td></tr>{{end}}</table>
-
-<h2>Search index</h2>
-<table><tr>{{range .Search}}<th>{{.Name}}</th>{{end}}</tr>
-<tr>{{range .Search}}<td class="num">{{.Value}}</td>{{end}}</tr></table>
-
-<h2>Caches</h2>
-<table><tr><th>layer</th><th>hits</th><th>misses</th><th>hit ratio</th></tr>
-{{range .Caches}}<tr><td>{{.Name}}</td><td class="num">{{printf "%.0f" .Hits}}</td><td class="num">{{printf "%.0f" .Misses}}</td><td class="num">{{.Ratio}}</td></tr>
-{{end}}</table>
-
-<h2>Build workers</h2>
-<table>{{range .Workers}}<tr><td>{{.Label}}</td><td>{{.Spark}}</td><td class="num">{{.Last}}</td></tr>
-{{else}}<tr><td class="dim">no builds in this window</td></tr>{{end}}</table>
-
-<h2>Runtime</h2>
-<table><tr>{{range .Runtime}}<th>{{.Name}}</th>{{end}}</tr>
-<tr>{{range .Runtime}}<td class="num">{{.Value}}</td>{{end}}</tr></table>
-<table>{{range .RtSparks}}<tr><td>{{.Label}}</td><td>{{.Spark}}</td><td class="num">{{.Last}}</td></tr>{{end}}</table>
-
-<h2>Exemplars</h2>
-<table><tr><th>histogram</th><th>series</th><th>bucket</th><th>observed</th><th>age</th><th>trace</th></tr>
-{{range .Exemplars}}<tr><td>{{.Series}}</td><td>{{.Label}}</td><td>{{.Bucket}}</td><td class="num">{{.Value}}</td><td class="dim">{{.Age}}</td><td><a href="/debug/obs/traces/{{.ID}}">{{.ID}}</a></td></tr>
-{{else}}<tr><td class="dim" colspan="6">no exemplars yet (traced requests populate this)</td></tr>{{end}}</table>
 
 <h2>Recent traces <span class="dim">({{.Retained}} retained, pinned first)</span></h2>
 <table><tr><th>trace</th><th>root</th><th>start</th><th>duration</th><th>spans</th><th>kept</th></tr>

@@ -23,13 +23,6 @@ func fixture(t *testing.T) (Config, trace.TraceID) {
 	reg.Counter("pdcu_http_requests_total", "req", "path", "code").With("/api", "200").Add(10)
 	reg.Counter("pdcu_http_requests_total", "req", "path", "code").With("/api", "500").Add(2)
 	reg.Histogram("pdcu_http_request_duration_seconds", "lat", nil, "path").With("/api").Observe(0.02)
-	reg.Counter("pdcu_query_cache_total", "cache", "endpoint", "result").With("search", "hit").Add(8)
-	reg.Counter("pdcu_query_cache_total", "cache", "endpoint", "result").With("search", "miss").Add(2)
-	reg.Gauge("pdcu_build_workers_busy", "busy", "stage").With("page").Set(3)
-	reg.Gauge("pdcu_engine_generation", "gen").With().Set(4)
-	reg.Histogram("pdcu_engine_publish_duration_seconds", "pub", nil).With().Observe(0.001)
-	NewRuntime := obs.NewRuntimeCollector(reg)
-	NewRuntime.Collect()
 
 	ru := obs.NewRollup(reg, time.Second, 8)
 	ru.Collect()
@@ -43,14 +36,13 @@ func fixture(t *testing.T) (Config, trace.TraceID) {
 	}})
 	ctx, root := tr.StartRecorded(context.Background(), "GET /api/v1/search")
 	_, child := trace.StartSpan(ctx, "query.search")
-	trace.ObserveExemplar(ctx, "pdcu_query_duration_seconds", "search", obs.DefBuckets(), 0.02)
 	child.End()
 	root.End()
 	id := root.TraceID()
 	if _, ok := tr.Store().Get(id); !ok {
 		t.Fatal("fixture trace not retained")
 	}
-	return Config{Registry: reg, Rollup: ru, Tracer: tr}, id
+	return Config{Rollup: ru, Tracer: tr}, id
 }
 
 func TestDashboardRenders(t *testing.T) {
@@ -63,13 +55,7 @@ func TestDashboardRenders(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		"/api",          // RED row for the HTTP route
-		"query results", // cache layer row
-		"80.0%",         // 8 hits / 10 lookups
-		"goroutines",    // runtime panel
-		"publishes",     // engine panel
-		"mean publish",
-		"pdcu_query_duration_seconds", // exemplar row
+		"/api", // RED row for the HTTP route
 		"/debug/obs/traces/" + id.String(),
 		"<svg",
 	} {
@@ -77,41 +63,111 @@ func TestDashboardRenders(t *testing.T) {
 			t.Errorf("dashboard missing %q", want)
 		}
 	}
+	var panels []string
+	for _, h := range strings.Split(body, "<h2>")[1:] {
+		title, _, _ := strings.Cut(h, "<")
+		panels = append(panels, strings.TrimSpace(title))
+	}
+	want := []string{"HTTP (RED)", "Query API (RED)", "SLOs", "Layers", "Fleet", "Recent traces"}
+	if strings.Join(panels, "|") != strings.Join(want, "|") {
+		t.Errorf("panels = %q, want %q", panels, want)
+	}
 	if !strings.Contains(body, `<meta http-equiv="refresh" content="5">`) {
 		t.Error("auto-refresh meta tag missing")
 	}
 }
 
-func TestDashboardCorpusPanel(t *testing.T) {
-	cfg, _ := fixture(t)
+// TestDashboardLayersPanel: one row per phase of pdcu_phase_seconds
+// over the retained windows, largest total time first, with p50/p90
+// inside the buckets that hold them and a link to the retained trace
+// with that phase's slowest span. Before any window the panel shows its
+// empty state.
+func TestDashboardLayersPanel(t *testing.T) {
+	reg := obs.NewRegistry()
+	phase := reg.Histogram("pdcu_phase_seconds", "phase", obs.PhaseBuckets(), "phase")
+	ru := obs.NewRollup(reg, time.Second, 8)
+	clk := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	tr := trace.New(trace.Options{SampleRate: 1, Now: func() time.Time { return clk }})
+	cfg := Config{Rollup: ru, Tracer: tr}
 
-	// Unfederated registry: the panel renders its empty state.
-	rec := httptest.NewRecorder()
-	Handler(cfg).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs", nil))
-	if !strings.Contains(rec.Body.String(), "no source-stamped corpus") {
-		t.Error("empty corpus state missing")
+	render := func() string {
+		rec := httptest.NewRecorder()
+		Handler(cfg).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs", nil))
+		return rec.Body.String()
+	}
+	if body := render(); !strings.Contains(body, "no spans in the retained windows yet") {
+		t.Error("Layers panel missing its empty state before any window")
 	}
 
-	reg := cfg.Registry
-	reg.Gauge("pdcu_corpus_source_activities", "per-source", "source").With("builtin").Set(38)
-	reg.Gauge("pdcu_corpus_source_activities", "per-source", "source").With("csinparallel").Set(5)
-	reg.Gauge("pdcu_corpus_source_activities", "per-source", "source").With("gone").Set(0)
-	reg.Counter("pdcu_contrib_requests_total", "contrib", "outcome").With("accepted").Add(3)
-	reg.Counter("pdcu_contrib_requests_total", "contrib", "outcome").With("needs_work").Add(2)
+	// site.build: 8 fast and 2 slow builds, 64ms in all. query.cache:
+	// more observations but only 3ms in all, so it ranks second.
+	for i := 0; i < 8; i++ {
+		phase.With("site.build").Observe(0.003)
+	}
+	phase.With("site.build").Observe(0.02)
+	phase.With("site.build").Observe(0.02)
+	for i := 0; i < 100; i++ {
+		phase.With("query.cache").Observe(0.00003)
+	}
+	ru.Collect()
 
-	rec = httptest.NewRecorder()
-	Handler(cfg).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs", nil))
-	body := rec.Body.String()
-	for _, want := range []string{"builtin", "csinparallel", "validations", "needs_work"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("corpus panel missing %q", want)
+	// Two retained traces: the first holds the slowest query.cache span,
+	// the second the slowest site.build span.
+	type span struct {
+		name string
+		d    time.Duration
+	}
+	traceWith := func(spans ...span) string {
+		ctx, root := tr.StartRecorded(context.Background(), "root")
+		for _, sp := range spans {
+			_, child := trace.StartSpan(ctx, sp.name)
+			clk = clk.Add(sp.d)
+			child.End()
+		}
+		root.End()
+		return root.TraceID().String()
+	}
+	first := traceWith(span{"site.build", 3 * time.Millisecond}, span{"query.cache", 40 * time.Microsecond})
+	second := traceWith(span{"site.build", 20 * time.Millisecond}, span{"query.cache", 30 * time.Microsecond})
+
+	rows := layerRows(ru, tr.Store().List())
+	if len(rows) != 2 || rows[0].Phase != "site.build" || rows[1].Phase != "query.cache" {
+		t.Fatalf("rows = %+v, want site.build then query.cache", rows)
+	}
+	within := func(name, got string, lo, hi time.Duration) {
+		t.Helper()
+		d, err := time.ParseDuration(got)
+		if err != nil || d <= lo || d > hi {
+			t.Errorf("%s = %q, want in (%v, %v]", name, got, lo, hi)
 		}
 	}
-	if strings.Contains(body, "gone") {
-		t.Error("zero-count source should be dropped from the panel")
+	within("site.build p50", rows[0].P50, 2500*time.Microsecond, 5*time.Millisecond)
+	within("site.build p90", rows[0].P90, 10*time.Millisecond, 25*time.Millisecond)
+	within("query.cache p50", rows[1].P50, 25*time.Microsecond, 50*time.Microsecond)
+	within("query.cache p90", rows[1].P90, 25*time.Microsecond, 50*time.Microsecond)
+	if rows[0].Count != "10" || rows[0].Total != "64ms" || rows[1].Count != "100" {
+		t.Errorf("counts/totals = %+v", rows)
 	}
-	if strings.Contains(body, "no source-stamped corpus") {
-		t.Error("empty state rendered despite federated sources")
+	if rows[0].Trace != second || rows[1].Trace != first {
+		t.Errorf("links = %s, %s; want site.build -> %s, query.cache -> %s",
+			rows[0].Trace, rows[1].Trace, second, first)
+	}
+
+	body := render()
+	if strings.Contains(body, "no spans in the retained windows yet") {
+		t.Error("empty state rendered despite phase data")
+	}
+	for _, want := range []string{
+		"<td>site.build</td>",
+		`<a href="/debug/obs/traces/` + second + `">`,
+		`<a href="/debug/obs/traces/` + first + `">`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("Layers panel missing %q", want)
+		}
+	}
+	if strings.Index(body, "<td>site.build</td>") > strings.Index(body, "<td>query.cache</td>") {
+		t.Error("Layers rows not in total-time order")
 	}
 }
 
@@ -305,9 +361,8 @@ func TestDashboardSLOPanel(t *testing.T) {
 	ru.Collect()
 
 	cfg := Config{
-		Registry: reg,
-		Rollup:   ru,
-		SLO:      slo.New(reg, ru, slo.DefaultObjectives(), slo.Options{}),
+		Rollup: ru,
+		SLO:    slo.New(reg, ru, slo.DefaultObjectives(), slo.Options{}),
 	}
 	rec := httptest.NewRecorder()
 	Handler(cfg).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs", nil))

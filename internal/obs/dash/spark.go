@@ -82,17 +82,6 @@ func fmtNum(v float64) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
-func fmtBytes(v float64) string {
-	const unit = 1024.0
-	for _, suffix := range []string{"B", "KiB", "MiB", "GiB"} {
-		if v < unit || suffix == "GiB" {
-			return strconv.FormatFloat(v, 'f', 1, 64) + " " + suffix
-		}
-		v /= unit
-	}
-	return ""
-}
-
 func fmtPct(v float64) string {
 	return strconv.FormatFloat(v*100, 'f', 1, 64) + "%"
 }

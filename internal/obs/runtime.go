@@ -8,8 +8,8 @@ import (
 // RuntimeCollector samples the Go runtime into gauges on a registry:
 // goroutine count, heap size and object count, GC cycle count and the
 // most recent GC pause. It collects only when asked — hook Collect into
-// a Rollup so the dashboard's runtime panel refreshes once per window
-// instead of on every scrape.
+// a Rollup so the gauges refresh once per window instead of on every
+// scrape.
 type RuntimeCollector struct {
 	goroutines  *GaugeChild
 	heapAlloc   *GaugeChild

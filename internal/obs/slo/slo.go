@@ -193,7 +193,7 @@ func (e *Engine) evaluate(o Objective) Status {
 func (e *Engine) counts(o Objective, n int) (good, total float64) {
 	switch o.Kind {
 	case KindLatency:
-		h, ok := e.ru.HistOver(o.Family, n)
+		h, ok := e.ru.HistOver(o.Family, n, nil)
 		if !ok {
 			return 0, 0
 		}

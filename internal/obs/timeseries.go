@@ -92,8 +92,8 @@ func (ru *Rollup) Run(ctx context.Context) {
 	}
 }
 
-// Collect takes one window sample. Exported so tests (and the dashboard
-// handler, on a cold first render) can tick deterministically.
+// Collect takes one window sample. Exported so tests can tick
+// deterministically.
 func (ru *Rollup) Collect() {
 	ru.mu.Lock()
 	hooks := append([]func(){}, ru.hooks...)
@@ -120,6 +120,7 @@ func (ru *Rollup) Collect() {
 				rs.values = nanSlice(len(ru.times) - 1)
 				if f.Kind == KindHistogram {
 					rs.counts = nanSlice(len(ru.times) - 1)
+					rs.buckets = make([][]float64, len(ru.times)-1)
 				}
 				ru.series[key] = rs
 			}
@@ -259,17 +260,21 @@ type HistSum struct {
 	Count float64
 }
 
-// HistOver aggregates the named histogram family over the last n windows
-// (all retained windows when n <= 0 or exceeds what is held). The bool is
-// false when the family is unknown, is not a histogram, or has recorded
-// no window yet — callers treat that as "no data", not as zero traffic.
-func (ru *Rollup) HistOver(name string, n int) (HistSum, bool) {
+// HistOver aggregates every series of the named histogram family whose
+// labels pass match (nil matches all) over the last n windows (all
+// retained windows when n <= 0 or exceeds what is held). The bool is
+// false when no matching histogram series has recorded a window yet —
+// callers treat that as "no data", not as zero traffic.
+func (ru *Rollup) HistOver(name string, n int, match func(map[string]string) bool) (HistSum, bool) {
 	ru.mu.Lock()
 	defer ru.mu.Unlock()
 	var out HistSum
 	found := false
 	for _, rs := range ru.series {
 		if rs.name != name || rs.kind != KindHistogram {
+			continue
+		}
+		if match != nil && !match(rs.labels) {
 			continue
 		}
 		lo := 0

@@ -15,7 +15,7 @@ func TestRollupEmptyWindows(t *testing.T) {
 	ru := NewRollup(reg, time.Second, 8)
 	ru.Collect() // a window with no families at all
 
-	if _, ok := ru.HistOver("pdcu_query_duration_seconds", 0); ok {
+	if _, ok := ru.HistOver("pdcu_query_duration_seconds", 0, nil); ok {
 		t.Error("HistOver on an unknown family reported data")
 	}
 	if _, ok := ru.CounterOver("pdcu_query_requests_total", 0, nil); ok {
@@ -26,7 +26,7 @@ func TestRollupEmptyWindows(t *testing.T) {
 	reg.Histogram("pdcu_query_duration_seconds", "lat", QueryBuckets(), "endpoint").With("search")
 	reg.Counter("pdcu_query_requests_total", "req", "endpoint", "code").With("search", "200")
 	ru.Collect()
-	h, ok := ru.HistOver("pdcu_query_duration_seconds", 0)
+	h, ok := ru.HistOver("pdcu_query_duration_seconds", 0, nil)
 	if !ok {
 		t.Fatal("HistOver missed a registered family")
 	}
@@ -87,7 +87,7 @@ func TestRollupHistogramReset(t *testing.T) {
 	ru.reg = mk(3) // reset: only 3 observations in the new incarnation
 	ru.Collect()
 
-	h, ok := ru.HistOver("t_reset_seconds", 0)
+	h, ok := ru.HistOver("t_reset_seconds", 0, nil)
 	if !ok {
 		t.Fatal("family lost across reset")
 	}
@@ -155,7 +155,7 @@ func TestRollupWindowSpansGenerationSwap(t *testing.T) {
 		t.Errorf("swap delta = %v, want 1", v)
 	}
 	// The swap-spanning window holds both sides' observations.
-	h, _ := ru.HistOver("t_query_seconds", 1)
+	h, _ := ru.HistOver("t_query_seconds", 1, nil)
 	if h.Count != 2 {
 		t.Errorf("swap window observations = %v, want 2 (one per generation)", h.Count)
 	}
@@ -178,7 +178,7 @@ func TestHistSumQuantile(t *testing.T) {
 	ru := NewRollup(reg, time.Second, 4)
 	ru.Collect()
 
-	hs, _ := ru.HistOver("t_q_seconds", 0)
+	hs, _ := ru.HistOver("t_q_seconds", 0, nil)
 	p50 := hs.Quantile(0.50)
 	if p50 <= 0 || p50 > 0.001 {
 		t.Errorf("p50 = %v, want within first bucket", p50)
@@ -186,5 +186,44 @@ func TestHistSumQuantile(t *testing.T) {
 	p99 := hs.Quantile(0.99)
 	if p99 <= 0.01 || p99 > 0.1 {
 		t.Errorf("p99 = %v, want inside the 10ms..100ms bucket", p99)
+	}
+}
+
+// TestRollupLateHistogramAfterRingFull: a histogram series first seen
+// after the ring has filled must keep its bucket rows aligned with the
+// windows, or the trim cuts them and every quantile and good-event
+// count of that series reads zero. HistOver's label match selects one
+// series of the family.
+func TestRollupLateHistogramAfterRingFull(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("t_phase_seconds", "p", []float64{0.001, 0.01}, "phase")
+	ru := NewRollup(reg, time.Second, 3)
+	h.With("early").Observe(0.005)
+	for i := 0; i < 5; i++ {
+		ru.Collect()
+	}
+	h.With("late").Observe(0.0005)
+	h.With("late").Observe(0.0005)
+	ru.Collect()
+
+	late := func(l map[string]string) bool { return l["phase"] == "late" }
+	for _, tick := range []int{0, 1} {
+		if tick == 1 {
+			ru.Collect() // one more trim past the late series' first window
+		}
+		hs, ok := ru.HistOver("t_phase_seconds", 0, late)
+		if !ok || hs.Count != 2 {
+			t.Fatalf("tick %d: late series count = %v (ok=%v), want 2", tick, hs.Count, ok)
+		}
+		if good := hs.AtOrBelow(0.001); good != 2 {
+			t.Errorf("tick %d: late series bucket counts %v, want 2 at or below 1ms", tick, hs.Counts)
+		}
+		if p50 := hs.Quantile(0.5); p50 <= 0 || p50 > 0.001 {
+			t.Errorf("tick %d: late series p50 = %v, want inside the first bucket", tick, p50)
+		}
+	}
+	// The early observation's window has been trimmed away.
+	if hs, ok := ru.HistOver("t_phase_seconds", 0, func(l map[string]string) bool { return l["phase"] == "early" }); !ok || hs.Count != 0 {
+		t.Errorf("early series over retained windows = %v (ok=%v), want 0/true", hs.Count, ok)
 	}
 }

@@ -248,7 +248,6 @@ type Tracer struct {
 	maxSpans int
 	now      func() time.Time
 	randf    func() float64
-	ex       exemplars
 
 	mu  sync.Mutex
 	rng *rand.Rand

@@ -267,42 +267,6 @@ func TestMaxSpansCap(t *testing.T) {
 	}
 }
 
-func TestExemplars(t *testing.T) {
-	tr, _ := newTestTracer(Options{SampleRate: 1})
-	bounds := []float64{0.01, 0.1, 1}
-	ctx, root := tr.StartRecorded(context.Background(), "req")
-
-	ObserveExemplar(ctx, "pdcu_query_duration_seconds", "search", bounds, 0.05)
-	ObserveExemplar(ctx, "pdcu_query_duration_seconds", "search", bounds, 5)                    // +Inf bucket
-	ObserveExemplar(context.Background(), "pdcu_query_duration_seconds", "search", bounds, 0.5) // untraced: dropped
-	root.End()
-
-	exs := tr.Exemplars()
-	if len(exs) != 2 {
-		t.Fatalf("got %d exemplars, want 2: %+v", len(exs), exs)
-	}
-	if exs[0].Bound != 0.1 || exs[0].Inf {
-		t.Errorf("first exemplar bucket = %+v, want le=0.1", exs[0])
-	}
-	if !exs[1].Inf {
-		t.Errorf("second exemplar = %+v, want +Inf bucket", exs[1])
-	}
-	for _, ex := range exs {
-		if ex.ID != root.TraceID().String() {
-			t.Errorf("exemplar trace = %s, want %s", ex.ID, root.TraceID())
-		}
-	}
-
-	// A later observation into the same bucket replaces the slot.
-	ctx2, root2 := tr.StartRecorded(context.Background(), "req2")
-	ObserveExemplar(ctx2, "pdcu_query_duration_seconds", "search", bounds, 0.09)
-	root2.End()
-	exs = tr.Exemplars()
-	if len(exs) != 2 || exs[0].ID != root2.TraceID().String() {
-		t.Errorf("exemplar slot not replaced: %+v", exs)
-	}
-}
-
 func TestDoubleEndAndLateAttrs(t *testing.T) {
 	tr, _ := newTestTracer(Options{SampleRate: 1})
 	ctx, root := tr.StartRecorded(context.Background(), "req")

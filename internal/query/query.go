@@ -29,7 +29,6 @@ import (
 
 	"pdcunplugged/internal/core"
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/trace"
 	"pdcunplugged/internal/search"
 	"pdcunplugged/internal/site"
 )
@@ -248,18 +247,13 @@ var errShed = errors.New("shed")
 // stage is timed as its own span, which is also a trace span when the
 // request carries a recording trace (the obs HTTP middleware puts the
 // root span in the request context), and the endpoint latency is
-// recorded with an exemplar linking its histogram bucket back to the
-// trace.
+// recorded in pdcu_query_duration_seconds.
 func (s *Service) handle(name string, parse parseFn) http.HandlerFunc {
 	em := endpointMetricsFor[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		start := time.Now()
-		defer func() {
-			sec := time.Since(start).Seconds()
-			em.duration.Observe(sec)
-			trace.ObserveExemplar(ctx, "pdcu_query_duration_seconds", name, obs.QueryBuckets(), sec)
-		}()
+		defer func() { em.duration.Observe(time.Since(start).Seconds()) }()
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
 			writeError(w, name, http.StatusMethodNotAllowed, "method not allowed")

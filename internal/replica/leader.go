@@ -291,8 +291,8 @@ func (l *Leader) handleFleet(w http.ResponseWriter, r *http.Request) {
 		l.mu.Lock()
 		l.fleet[hb.Node] = followerState{URL: hb.URL, Seq: hb.Seq, Generation: hb.Generation, LastSeen: time.Now()}
 		l.mu.Unlock()
-		// Refresh the fleet gauges on every heartbeat so /metrics and the
-		// dashboard stay current without anyone polling /fleet.
+		// Refresh the fleet gauges on every heartbeat so /metrics stays
+		// current without anyone polling /fleet.
 		l.FleetStatus()
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodGet:

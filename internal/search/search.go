@@ -89,7 +89,7 @@ func (f facet) lookup(term string) Bitset {
 }
 
 // IndexStats describes a built index's shape and cost; exported on the
-// pdcu_search_index_* gauges and the /debug/obs dashboard.
+// pdcu_search_index_* gauges.
 type IndexStats struct {
 	Docs          int     `json:"docs"`
 	Vocabulary    int     `json:"vocabulary"`
@@ -155,8 +155,7 @@ var stopWords = map[string]bool{
 	"each": true, "into": true, "from": true,
 }
 
-// Index-shape gauges, refreshed by every Build; the /debug/obs dashboard
-// renders them as the "Search index" panel.
+// Index-shape gauges, refreshed by every Build and exported on /metrics.
 var (
 	indexDocsGauge = obs.Default().Gauge("pdcu_search_index_docs",
 		"Documents in the most recently built search index.")
