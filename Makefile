@@ -70,7 +70,7 @@ bench-index-record:
 # that fails here once in twenty fails tier-1 runs too. Slow, so not
 # part of check.
 STRESS_PKGS = ./internal/watch ./internal/engine ./internal/replica ./internal/obs \
-	./internal/loadgen ./internal/obs/fleet ./internal/query ./internal/obs/trace \
+	./internal/loadgen ./internal/query ./internal/obs/trace \
 	./internal/site ./internal/corpus ./internal/core ./cmd/pdcu
 
 stress:
@@ -97,10 +97,11 @@ replica-smoke:
 # Fleet observability smoke under the race detector: a leader and a
 # follower wired the way cmdServe wires them must produce a stitched
 # cross-node trace (follower fetch + leader snapshot serve under one
-# trace ID), a federated /metrics/fleet with both node labels, /readyz
-# replication extras, and a 503 from the leader's /slo after an induced
-# SLO breach. The rollup-across-Adopt test rides along: generation
-# swaps must not clamp counter windows as resets.
+# trace ID), the follower's liveness, lag, request rate and SLO breach
+# on the leader's heartbeat roster (/replica/v1/fleet and the Fleet
+# panel), /readyz replication extras, and a 503 from the leader's /slo
+# after an induced SLO breach. The rollup-across-Adopt test rides along:
+# generation swaps must not clamp counter windows as resets.
 fleet-obs-smoke:
 	$(GO) test -race -run 'TestFleetObsSmoke|TestRollupWindowsSpanAdopt' -count=1 -v ./cmd/pdcu
 

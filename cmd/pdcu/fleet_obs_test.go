@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/fleet"
+	"pdcunplugged/internal/obs/dash"
 	"pdcunplugged/internal/obs/trace"
 	"pdcunplugged/internal/replica"
 )
@@ -22,21 +22,15 @@ import (
 // `make fleet-obs-smoke` gates it: a leader and a follower with the
 // exact wiring cmdServe performs, then every acceptance surface in one
 // run — the follower's fetch cycle and the leader's snapshot serve
-// stitched into a single trace, /metrics/fleet carrying both nodes'
-// series under node= labels, /readyz reporting replication role and
-// position, and an induced SLO breach turning the leader's /slo to 503.
+// stitched into a single trace, the leader's heartbeat roster reporting
+// the follower's liveness, lag, request rate and SLO breach on
+// /replica/v1/fleet and its Fleet panel, /readyz reporting replication
+// role and position, and an induced SLO breach turning the leader's
+// /slo to 503.
 func TestFleetObsSmoke(t *testing.T) {
 	leaderEng := builtEngine(t, nil)
 	rep := replica.NewLeader(leaderEng)
-	leaderEng.SetPeerSource(func() []fleet.Peer {
-		var peers []fleet.Peer
-		for _, f := range rep.FleetStatus().Followers {
-			if f.URL != "" {
-				peers = append(peers, fleet.Peer{Node: f.Node, URL: f.URL})
-			}
-		}
-		return peers
-	})
+	leaderEng.SetPeerSource(rep.Peers)
 	leaderEng.SetReadyExtra(func() map[string]any {
 		return map[string]any{"role": "leader"}
 	})
@@ -48,11 +42,10 @@ func TestFleetObsSmoke(t *testing.T) {
 	t.Cleanup(leaderSrv.Close)
 
 	// Follower: own engine (own tracer, own rollup), advertising its
-	// URL on heartbeats so the leader's fleet roster can scrape it.
+	// URL on heartbeats so the leader's Fleet panel links it.
 	folEng := testEngine(t, nil)
-	folEng.SetSelfNode("fleet-f1")
-	folEng.SetPeerSource(func() []fleet.Peer {
-		return []fleet.Peer{{Node: "leader", URL: leaderSrv.URL}}
+	folEng.SetPeerSource(func() []dash.Peer {
+		return []dash.Peer{{Node: "leader", URL: leaderSrv.URL}}
 	})
 	fmux := folEng.Mux()
 	fmux.Handle("/replica/v1/", replica.NewLeader(folEng).Handler())
@@ -172,24 +165,53 @@ func TestFleetObsSmoke(t *testing.T) {
 		t.Errorf("follower %s = %d, want 200", link, resp.StatusCode)
 	}
 
-	// --- Metrics federation -------------------------------------------
+	// --- Fleet roster from heartbeats --------------------------------
 
-	// The leader's roster comes from the follower's heartbeat (which
-	// advertised folSrv.URL); one scrape federates both nodes.
-	leaderEng.Fleet().ScrapeOnce(ctx)
+	// The follower's heartbeat after adopting puts it on the roster at
+	// lag 0, on the JSON and as a Fleet panel row linking its dashboard.
+	row := waitRoster(t, leaderSrv.URL, "the fleet-f1 row at lag 0", func(f map[string]any) bool {
+		return f["lag"] == 0.0
+	})
+	if row["url"] != folSrv.URL {
+		t.Errorf("fleet-f1 url = %v, want %s", row["url"], folSrv.URL)
+	}
+	leaderFleet := fleetPanel(t, leaderSrv.URL)
+	if !strings.Contains(leaderFleet, "<td>fleet-f1</td>") ||
+		!strings.Contains(leaderFleet, `<a href="`+folSrv.URL+`/debug/obs">`) {
+		t.Errorf("leader Fleet panel has no fleet-f1 row linking its dashboard:\n%s", leaderFleet)
+	}
+	// On the follower, the one peer is its leader: linked, no numbers.
+	if folFleet := fleetPanel(t, folSrv.URL); !strings.Contains(folFleet, `<a href="`+leaderSrv.URL+`/debug/obs">`) {
+		t.Errorf("follower Fleet panel does not link the leader's dashboard:\n%s", folFleet)
+	}
+
+	// Follower-served traffic, then a publish: the follower fetches it
+	// at once and heartbeats counters that grew, so its rate is > 0.
+	for i := 0; i < 5; i++ {
+		resp, err := http.Get(folSrv.URL + "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	if _, err := leaderEng.Rebuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitRoster(t, leaderSrv.URL, "a positive fleet-f1 req_rate", func(f map[string]any) bool {
+		return f["req_rate"].(float64) > 0
+	})
+
+	// The leader serves no union of the fleet's metrics: a Prometheus
+	// that wants every node scrapes each node's /metrics.
 	resp, err = http.Get(leaderSrv.URL + "/metrics/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, _ := io.ReadAll(resp.Body)
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics/fleet = %d", resp.StatusCode)
-	}
-	for _, want := range []string{`node="leader"`, `node="fleet-f1"`} {
-		if !strings.Contains(string(fed), want) {
-			t.Errorf("/metrics/fleet missing %s", want)
-		}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/metrics/fleet = %d, want 404", resp.StatusCode)
 	}
 
 	// --- /readyz replication extras -----------------------------------
@@ -229,13 +251,18 @@ func TestFleetObsSmoke(t *testing.T) {
 	// slowdown. Registering the same family returns the existing one.
 	hist := obs.Default().Histogram("pdcu_query_duration_seconds",
 		"Query API request latency, by endpoint.", obs.QueryBuckets(), "endpoint")
-	ru := leaderEng.Rollup()
+	// The follower's rollup samples the same windows, so its own SLO
+	// verdict, which its heartbeat carries, breaches too.
+	ru, fru := leaderEng.Rollup(), folEng.Rollup()
 	ru.Collect() // absorb process history into a pre-breach window
+	fru.Collect()
 	for i := 0; i < 50000; i++ {
 		hist.With("search").Observe(0.08) // 16x the 5ms objective
 	}
 	ru.Collect() // sample the all-bad window
+	fru.Collect()
 	ru.Collect() // a trailing empty window leaves the burn rates as they are
+	fru.Collect()
 
 	resp, err = http.Get(leaderSrv.URL + "/slo")
 	if err != nil {
@@ -263,6 +290,67 @@ func TestFleetObsSmoke(t *testing.T) {
 	if !named {
 		t.Errorf("/slo does not name query-latency as breached: %+v", report.Objectives)
 	}
+
+	// One more heartbeat carries the follower's breach to the roster.
+	if _, err := leaderEng.Rebuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	row = waitRoster(t, leaderSrv.URL, "fleet-f1 breached", func(f map[string]any) bool {
+		return f["breached"] == true
+	})
+	if b := row["slo_budget"].(float64); b < 0 || b >= 1 {
+		t.Errorf("breached fleet-f1 slo_budget = %v, want in [0, 1)", b)
+	}
+	if leaderFleet := fleetPanel(t, leaderSrv.URL); !strings.Contains(leaderFleet, "SLO BREACHED") {
+		t.Errorf("leader Fleet panel does not flag the breach:\n%s", leaderFleet)
+	}
+}
+
+// waitRoster polls the leader's GET /replica/v1/fleet until the
+// fleet-f1 row satisfies cond, and returns that row.
+func waitRoster(t *testing.T, leader, what string, cond func(map[string]any) bool) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(leader + "/replica/v1/fleet")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			Followers []map[string]any `json:"followers"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range st.Followers {
+			if f["node"] == "fleet-f1" && cond(f) {
+				return f
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, st.Followers)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// fleetPanel fetches a node's /debug/obs and returns its Fleet panel.
+func fleetPanel(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	_, panel, ok := strings.Cut(string(body), "<h2>Fleet")
+	if !ok {
+		t.Fatalf("%s/debug/obs has no Fleet panel", base)
+	}
+	panel, _, _ = strings.Cut(panel, "<h2>")
+	return panel
 }
 
 // layerCells fetches a node's /debug/obs and returns its Layers panel

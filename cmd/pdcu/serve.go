@@ -15,7 +15,7 @@ import (
 
 	"pdcunplugged/internal/engine"
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/fleet"
+	"pdcunplugged/internal/obs/dash"
 	"pdcunplugged/internal/replica"
 )
 
@@ -85,13 +85,11 @@ func cmdServe(args []string, w io.Writer) error {
 			Dir:  cfg.SnapshotDir,
 			Self: cfg.Advertise,
 		}
-		// Fleet observability from the follower's seat: federated
-		// metrics label this node by its follower name, the leader is
-		// the one peer to scrape and to stitch traces from, and /readyz
-		// reports the replication position.
-		eng.SetSelfNode(fol.Node)
-		eng.SetPeerSource(func() []fleet.Peer {
-			return []fleet.Peer{{Node: "leader", URL: fol.Base}}
+		// Fleet observability from the follower's seat: the leader is
+		// the one peer, linked from the Fleet panel and asked for trace
+		// halves, and /readyz reports the replication position.
+		eng.SetPeerSource(func() []dash.Peer {
+			return []dash.Peer{{Node: "leader", URL: fol.Base}}
 		})
 		eng.SetReadyExtra(func() map[string]any {
 			return map[string]any{
@@ -114,18 +112,10 @@ func cmdServe(args []string, w io.Writer) error {
 		leader.AutoSave(cfg.SnapshotDir)
 	}
 	if cfg.Follow == "" {
-		// The leader's fleet roster comes from follower heartbeats:
-		// every follower that advertises a URL becomes a federation
-		// target, and /readyz reports how far the worst one trails.
-		eng.SetPeerSource(func() []fleet.Peer {
-			var peers []fleet.Peer
-			for _, f := range leader.FleetStatus().Followers {
-				if f.URL != "" {
-					peers = append(peers, fleet.Peer{Node: f.Node, URL: f.URL})
-				}
-			}
-			return peers
-		})
+		// The leader's fleet roster comes from follower heartbeats: it
+		// fills the Fleet panel, and /readyz reports how far the worst
+		// follower trails.
+		eng.SetPeerSource(leader.Peers)
 		eng.SetReadyExtra(func() map[string]any {
 			st := leader.FleetStatus()
 			var maxLag int64
@@ -159,9 +149,6 @@ func cmdServe(args []string, w io.Writer) error {
 	}
 
 	go eng.Rollup().Run(ctx)
-	if cfg.FleetScrape > 0 {
-		go eng.Fleet().Run(ctx)
-	}
 	if cfg.Watch {
 		go func() {
 			if err := eng.Watch(ctx); err != nil && ctx.Err() == nil {
@@ -183,9 +170,6 @@ func cmdServe(args []string, w io.Writer) error {
 	}
 	if cfg.Follow != "" {
 		fmt.Fprintf(w, ", following %s", cfg.Follow)
-	}
-	if cfg.FleetScrape > 0 {
-		fmt.Fprintf(w, ", fleet scrape every %s (/metrics/fleet)", cfg.FleetScrape)
 	}
 	fmt.Fprintln(w, ")")
 	log.Info("server starting", "addr", cfg.Addr, "pages", pages,

@@ -75,14 +75,10 @@ type Config struct {
 	// ready in milliseconds while the first fetch/build proceeds in the
 	// background. Empty disables persistence.
 	SnapshotDir string
-	// FleetScrape enables the fleet metrics federator: every interval
-	// the node scrapes its peers' /metrics and re-serves the union on
-	// /metrics/fleet. 0 disables the background loop (the endpoint still
-	// answers with a one-shot scrape). Must be 0 or >= 1s.
-	FleetScrape time.Duration
 	// Advertise is the base URL other fleet nodes can reach this node
-	// at. A follower sends it on heartbeats so the leader can scrape it
-	// and fetch its trace halves. Empty means "do not advertise".
+	// at. A follower sends it on heartbeats so the leader's Fleet panel
+	// links its dashboard and can fetch its trace halves. Empty means
+	// "do not advertise".
 	Advertise string
 }
 
@@ -310,7 +306,6 @@ func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
 	float("PDCU_LOG_SAMPLE", &c.LogSample)
 	str("PDCU_FOLLOW", &c.Follow)
 	str("PDCU_SNAPSHOT_DIR", &c.SnapshotDir)
-	duration("PDCU_FLEET_SCRAPE", &c.FleetScrape)
 	str("PDCU_ADVERTISE", &c.Advertise)
 	return firstErr
 }
@@ -355,8 +350,7 @@ func (c *Config) BindServeFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&c.LogSample, "log-sample", c.LogSample, "access-log sample rate in [0,1]; errors and pinned-trace requests always log")
 	fs.StringVar(&c.Follow, "follow", c.Follow, "run as a read replica pulling generation snapshots from the leader at this base URL")
 	fs.StringVar(&c.SnapshotDir, "snapshot-dir", c.SnapshotDir, "persist the latest generation snapshot here and cold-start from it on boot")
-	fs.DurationVar(&c.FleetScrape, "fleet-scrape", c.FleetScrape, "scrape fleet peers' /metrics at this interval and federate them on /metrics/fleet (0 disables the loop)")
-	fs.StringVar(&c.Advertise, "advertise", c.Advertise, "base URL peers can reach this node at (followers send it on heartbeats for fleet scraping and trace stitching)")
+	fs.StringVar(&c.Advertise, "advertise", c.Advertise, "base URL peers can reach this node at (followers send it on heartbeats for the leader's Fleet panel and trace stitching)")
 }
 
 // Validate rejects configurations that previously misbehaved silently.
@@ -417,9 +411,6 @@ func (c Config) Validate() error {
 		if c.Watch {
 			return fmt.Errorf("-follow and -watch are exclusive (a follower never builds; the leader watches the corpus)")
 		}
-	}
-	if c.FleetScrape != 0 && c.FleetScrape < time.Second {
-		return fmt.Errorf("-fleet-scrape must be 0 or >= 1s, got %v", c.FleetScrape)
 	}
 	if c.Advertise != "" {
 		u, err := url.Parse(c.Advertise)

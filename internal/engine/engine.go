@@ -32,7 +32,7 @@ import (
 	"pdcunplugged/internal/corpus"
 	"pdcunplugged/internal/curation"
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/fleet"
+	"pdcunplugged/internal/obs/dash"
 	"pdcunplugged/internal/obs/slo"
 	"pdcunplugged/internal/obs/trace"
 	"pdcunplugged/internal/query"
@@ -155,22 +155,14 @@ type Engine struct {
 	sloOnce sync.Once
 	slo     *slo.Engine
 
-	fleetOnce sync.Once
-	fleet     *fleet.Scraper
-
-	// peerSource supplies the fleet roster (func() []fleet.Peer); set by
+	// peerSource supplies the fleet roster (func() []dash.Peer); set by
 	// the serve command once the replication role is known, read lazily
-	// at scrape time so wiring order does not matter.
+	// at request time so wiring order does not matter.
 	peerSource atomic.Value
 
 	// readyExtra contributes role/lag fields to /readyz
 	// (func() map[string]any).
 	readyExtra atomic.Value
-
-	// selfNode is this node's label in federated fleet metrics (string);
-	// defaults to "leader", overridden by the serve command for
-	// followers. Must be set before the first Fleet() call.
-	selfNode atomic.Value
 }
 
 // New validates cfg and returns an engine with no generation published
@@ -417,47 +409,18 @@ func (e *Engine) SLO() *slo.Engine {
 
 // SetPeerSource supplies the current fleet roster: the leader derives
 // it from follower heartbeats, a follower points it at its leader. The
-// scraper and the trace-stitching view both read it at request time.
-func (e *Engine) SetPeerSource(fn func() []fleet.Peer) {
+// dashboard's Fleet panel and trace-stitching view both read it at
+// request time.
+func (e *Engine) SetPeerSource(fn func() []dash.Peer) {
 	e.peerSource.Store(fn)
 }
 
 // Peers resolves the current fleet roster (empty before SetPeerSource).
-func (e *Engine) Peers() []fleet.Peer {
-	if fn, _ := e.peerSource.Load().(func() []fleet.Peer); fn != nil {
+func (e *Engine) Peers() []dash.Peer {
+	if fn, _ := e.peerSource.Load().(func() []dash.Peer); fn != nil {
 		return fn()
 	}
 	return nil
-}
-
-// Fleet returns the metrics federator behind /metrics/fleet and the
-// dashboard Fleet panel, created on first use over the default registry
-// with the engine's peer source. Start the background loop with
-// Fleet().Run(ctx) when cfg.FleetScrape is set.
-func (e *Engine) Fleet() *fleet.Scraper {
-	e.fleetOnce.Do(func() {
-		interval := e.cfg.FleetScrape
-		if interval <= 0 {
-			interval = 5 * time.Second
-		}
-		self := "leader"
-		if s, _ := e.selfNode.Load().(string); s != "" {
-			self = s
-		}
-		e.fleet = fleet.New(obs.Default(), fleet.Options{
-			Interval: interval,
-			SelfNode: self,
-			Peers:    e.Peers,
-		})
-	})
-	return e.fleet
-}
-
-// SetSelfNode names this node in federated fleet metrics. The serve
-// command calls it with the follower's node name before the mux is
-// built; leaders keep the default "leader" label.
-func (e *Engine) SetSelfNode(name string) {
-	e.selfNode.Store(name)
 }
 
 // SetReadyExtra registers a hook whose fields are merged into the

@@ -71,7 +71,6 @@ func (e *Engine) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mw := e.Middleware()
 	mux.Handle("/metrics", obs.Default().Handler())
-	mux.Handle("/metrics/fleet", e.Fleet().Handler())
 	// Liveness: the process is up and serving its mux. Deliberately
 	// constant-cost — orchestrators hammer this.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -122,7 +121,6 @@ func (e *Engine) Mux() *http.ServeMux {
 		Rollup: e.Rollup(),
 		Tracer: e.tracer,
 		SLO:    e.SLO(),
-		Fleet:  e.Fleet(),
 		Peers:  e.Peers,
 	})
 	mux.Handle("/debug/obs", dashHandler)

@@ -1,7 +1,7 @@
 // Package dash renders the /debug/obs operational dashboard: a
 // zero-dependency, server-rendered HTML view over the rolling
 // time-series aggregator, the trace store, the SLO engine and the fleet
-// federator. It answers "where did the time go?": the Layers panel
+// roster. It answers "where did the time go?": the Layers panel
 // breaks pdcu_phase_seconds down by span name, and each row links to
 // the retained trace holding that layer's slowest span. Totals that
 // only restate a metric family stay on /metrics. No JavaScript
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/fleet"
 	"pdcunplugged/internal/obs/slo"
 	"pdcunplugged/internal/obs/trace"
 )
@@ -41,12 +40,38 @@ type Config struct {
 	// SLO, when set, renders the objective panel with budget-remaining
 	// gauges and burn rates (one Evaluate per page render).
 	SLO *slo.Engine
-	// Fleet, when set, renders the per-node Fleet panel from the metrics
-	// federator's latest scrape.
-	Fleet *fleet.Scraper
-	// Peers supplies the fleet roster the trace view consults when asked
-	// to stitch a remote half (?remote=1).
-	Peers func() []fleet.Peer
+	// Peers supplies the fleet roster: the Fleet panel renders one row
+	// per peer, and the trace view asks every peer with a URL for its
+	// half of a trace when asked to stitch (?remote=1).
+	Peers func() []Peer
+}
+
+// Peer is one other node of the fleet: its roster name and the base URL
+// its /debug/obs is reachable at (empty when it advertises none). On a
+// leader, each follower is a Tracked peer whose numbers come from its
+// heartbeats; on a follower, the one peer is its leader.
+type Peer struct {
+	Node string
+	URL  string
+	// Tracked marks a follower on this node's heartbeat roster. Only a
+	// tracked peer's fields below mean anything; the panel shows "–"
+	// for the rest.
+	Tracked bool
+	// Age is the time since the follower's last heartbeat.
+	Age time.Duration
+	// Lag is how many generations the follower trails this node.
+	Lag int64
+	// ReqRate and ErrRate are requests and 5xx per second, and
+	// MeanLatency seconds per request, between the follower's last two
+	// heartbeats. Zero until it has sent two.
+	ReqRate     float64
+	ErrRate     float64
+	MeanLatency float64
+	// SLOBudget is the minimum error budget remaining across the
+	// follower's objectives (-1 when it reports none); Breached reports
+	// any objective in breach.
+	SLOBudget float64
+	Breached  bool
 }
 
 // Handler returns the dashboard routes. Mount it at /debug/obs and
@@ -112,18 +137,16 @@ type traceRow struct {
 	Err      bool
 }
 
-// fleetNodeRow is one node's line in the Fleet panel, shaped from the
-// federator's NodeStatus.
+// fleetNodeRow is one peer's line in the Fleet panel.
 type fleetNodeRow struct {
 	Node    string
-	Where   string // "self" or the peer URL
+	URL     string // the peer's base URL; the row links its /debug/obs
 	Age     string
 	ReqRate string
 	ErrRate string
 	MeanLat string
 	Lag     string
 	Budget  string
-	Series  string
 	Status  string
 	Bad     bool
 }
@@ -159,8 +182,8 @@ func (h *handler) dashboard(w http.ResponseWriter, r *http.Request) {
 	if s := h.cfg.SLO; s != nil {
 		d.SLO = sloRows(s.Evaluate())
 	}
-	if f := h.cfg.Fleet; f != nil {
-		d.FleetNodes = fleetNodeRows(f.Status())
+	if h.cfg.Peers != nil {
+		d.FleetNodes = fleetNodeRows(h.cfg.Peers())
 	}
 	d.Traces = traceRows(retained, 50)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -279,35 +302,28 @@ func fmtBurn(v float64) string {
 	return fmt.Sprintf("%.2fx", v)
 }
 
-// fleetNodeRows shapes the federator's per-node summaries for the Fleet
-// panel: RED rates side by side for every node, replica lag, and the
-// tightest SLO budget each node reports.
-func fleetNodeRows(statuses []fleet.NodeStatus) []fleetNodeRow {
-	rows := make([]fleetNodeRow, 0, len(statuses))
-	for _, st := range statuses {
-		row := fleetNodeRow{
-			Node:    st.Node,
-			Where:   st.URL,
-			Age:     fmtAge(time.Duration(st.AgeSecs * float64(time.Second))),
-			ReqRate: fmtRate(st.ReqRate),
-			ErrRate: fmtRate(st.ErrRate),
-			MeanLat: fmtSeconds(st.MeanLatency),
-			Lag:     fmtNum(st.Lag),
-			Budget:  "–",
-			Series:  fmtNum(float64(st.Series)),
-			Status:  "ok",
-		}
-		if st.Self {
-			row.Where = "self"
-		}
-		if st.SLOBudget >= 0 {
-			row.Budget = fmtPct(st.SLOBudget)
-		}
-		switch {
-		case st.Err != "":
-			row.Status, row.Bad = "scrape failed: "+st.Err, true
-		case st.Breached:
-			row.Status, row.Bad = "SLO BREACHED", true
+// fleetNodeRows shapes the roster for the Fleet panel: per follower,
+// heartbeat age, RED rates, lag and the tightest SLO budget. A peer the
+// roster does not track shows "–" in place of every number.
+func fleetNodeRows(peers []Peer) []fleetNodeRow {
+	const none = "–"
+	rows := make([]fleetNodeRow, 0, len(peers))
+	for _, p := range peers {
+		row := fleetNodeRow{Node: p.Node, URL: p.URL, Age: none, ReqRate: none, ErrRate: none,
+			MeanLat: none, Lag: none, Budget: none, Status: none}
+		if p.Tracked {
+			row.Age = fmtAge(p.Age)
+			row.ReqRate = fmtRate(p.ReqRate)
+			row.ErrRate = fmtRate(p.ErrRate)
+			row.MeanLat = fmtSeconds(p.MeanLatency)
+			row.Lag = fmtNum(float64(p.Lag))
+			row.Status = "ok"
+			if p.SLOBudget >= 0 {
+				row.Budget = fmtPct(p.SLOBudget)
+			}
+			if p.Breached {
+				row.Status, row.Bad = "SLO BREACHED", true
+			}
 		}
 		rows = append(rows, row)
 	}
@@ -457,10 +473,10 @@ svg.spark{vertical-align:middle}polyline{fill:none;stroke:#6cb6ff;stroke-width:1
 {{range .Layers}}<tr><td>{{.Phase}}</td><td class="num">{{.Count}}</td><td class="num">{{.Total}}</td><td class="num">{{.Mean}}</td><td class="num">{{.P50}}</td><td class="num">{{.P90}}</td><td>{{if .Trace}}<a href="/debug/obs/traces/{{.Trace}}">{{.Trace}}</a>{{else}}<span class="dim">not retained</span>{{end}}</td></tr>
 {{else}}<tr><td class="dim" colspan="7">no spans in the retained windows yet</td></tr>{{end}}</table>
 
-<h2>Fleet <span class="dim">(<a href="/metrics/fleet">/metrics/fleet</a>, federated scrape)</span></h2>
-<table><tr><th>node</th><th>where</th><th>scraped</th><th>req rate</th><th>5xx rate</th><th>mean latency</th><th>lag</th><th>SLO budget</th><th>series</th><th>status</th></tr>
-{{range .FleetNodes}}<tr><td>{{.Node}}</td><td class="dim">{{.Where}}</td><td class="dim">{{.Age}}</td><td class="num">{{.ReqRate}}</td><td class="num">{{.ErrRate}}</td><td class="num">{{.MeanLat}}</td><td class="num">{{.Lag}}</td><td class="num">{{.Budget}}</td><td class="num">{{.Series}}</td><td{{if .Bad}} class="bad"{{end}}>{{.Status}}</td></tr>
-{{else}}<tr><td class="dim" colspan="10">no fleet scrape yet (run with -fleet-scrape, or hit /metrics/fleet)</td></tr>{{end}}</table>
+<h2>Fleet <span class="dim">(follower heartbeats, <a href="/replica/v1/fleet">/replica/v1/fleet</a>)</span></h2>
+<table><tr><th>node</th><th>dashboard</th><th>heartbeat</th><th>req rate</th><th>5xx rate</th><th>mean latency</th><th>lag</th><th>SLO budget</th><th>status</th></tr>
+{{range .FleetNodes}}<tr><td>{{.Node}}</td><td>{{if .URL}}<a href="{{.URL}}/debug/obs">{{.URL}}</a>{{else}}<span class="dim">not advertised</span>{{end}}</td><td class="dim">{{.Age}}</td><td class="num">{{.ReqRate}}</td><td class="num">{{.ErrRate}}</td><td class="num">{{.MeanLat}}</td><td class="num">{{.Lag}}</td><td class="num">{{.Budget}}</td><td{{if .Bad}} class="bad"{{end}}>{{.Status}}</td></tr>
+{{else}}<tr><td class="dim" colspan="9">no peers: no follower has heartbeated here, and this node follows no leader</td></tr>{{end}}</table>
 
 <h2>Recent traces <span class="dim">({{.Retained}} retained, pinned first)</span></h2>
 <table><tr><th>trace</th><th>root</th><th>start</th><th>duration</th><th>spans</th><th>kept</th></tr>

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/obs/fleet"
 	"pdcunplugged/internal/obs/slo"
 	"pdcunplugged/internal/obs/trace"
 )
@@ -266,7 +265,7 @@ func TestTraceViewStitchesRemote(t *testing.T) {
 	peer := httptest.NewServer(Handler(Config{Tracer: peerTracer}))
 	defer peer.Close()
 
-	cfg.Peers = func() []fleet.Peer { return []fleet.Peer{{Node: "leader", URL: peer.URL}} }
+	cfg.Peers = func() []Peer { return []Peer{{Node: "leader", URL: peer.URL}} }
 	h := Handler(cfg)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs/traces/"+id.String()+"?remote=1", nil))
@@ -389,5 +388,50 @@ func TestDashboardSLOPanel(t *testing.T) {
 	Handler(cfg).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs", nil))
 	if html := rec.Body.String(); !strings.Contains(html, "BREACHED") {
 		t.Errorf("breached objective not flagged in panel")
+	}
+}
+
+// TestDashboardFleetPanel: the Fleet panel renders the peer source. A
+// tracked follower shows its heartbeat numbers and breach verdict; an
+// untracked peer (a follower's leader) links to its dashboard with "–"
+// in place of every number; an empty roster shows the empty state.
+func TestDashboardFleetPanel(t *testing.T) {
+	var peers []Peer
+	cfg := Config{Peers: func() []Peer { return peers }}
+	fleetPanel := func() string {
+		rec := httptest.NewRecorder()
+		Handler(cfg).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs", nil))
+		_, panel, _ := strings.Cut(rec.Body.String(), "<h2>Fleet")
+		panel, _, _ = strings.Cut(panel, "<h2>")
+		return panel
+	}
+	if panel := fleetPanel(); !strings.Contains(panel, "no peers") {
+		t.Errorf("empty roster panel = %s", panel)
+	}
+
+	peers = []Peer{
+		{Node: "f1", URL: "http://f1:8080", Tracked: true, Age: 3 * time.Second, Lag: 2,
+			ReqRate: 4, ErrRate: 0.5, MeanLatency: 0.002, SLOBudget: 0.25, Breached: true},
+		{Node: "f2", Tracked: true, SLOBudget: -1},
+		{Node: "leader", URL: "http://leader:8080"},
+	}
+	panel := fleetPanel()
+	rows := strings.Split(panel, "<tr>")[2:]
+	if len(rows) != 3 {
+		t.Fatalf("panel rows = %d, want 3:\n%s", len(rows), panel)
+	}
+	for i, want := range [][]string{
+		{`<a href="http://f1:8080/debug/obs">`, ">3s<", ">4.0/s<", ">0.5/s<", ">2ms<", ">2<", ">25.0%<", `class="bad">SLO BREACHED`},
+		{"not advertised", ">ok<"},
+		{`<a href="http://leader:8080/debug/obs">`},
+	} {
+		for _, w := range want {
+			if !strings.Contains(rows[i], w) {
+				t.Errorf("row %d missing %q:\n%s", i, w, rows[i])
+			}
+		}
+	}
+	if strings.Count(rows[1], ">–<") != 1 || strings.Count(rows[2], ">–<") != 7 {
+		t.Errorf("want f2 with only its budget as –, leader with every number as –:\n%s\n%s", rows[1], rows[2])
 	}
 }

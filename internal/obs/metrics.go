@@ -334,10 +334,9 @@ func (h *HistogramChild) BucketCounts() []uint64 {
 	return out
 }
 
-// FamilySnapshot is a point-in-time copy of one metric family: the one
-// sample model that /metrics, /metrics/fleet, the rollup and the fleet
-// digest all read. Registry.Gather produces it for the local process and
-// ParseExposition for a remote peer.
+// FamilySnapshot is a point-in-time copy of one metric family, produced
+// by Registry.Gather: the one sample model that /metrics, the rollup and
+// a follower's heartbeat counters all read.
 type FamilySnapshot struct {
 	Name string
 	Help string

@@ -153,7 +153,7 @@ func (e *Engine) Objectives() []Objective { return e.objectives }
 
 // Evaluate computes every objective's status from the rollup's current
 // windows and updates the pdcu_slo_* gauges. It is cheap enough to run
-// per scrape or per dashboard render.
+// per dashboard render or per follower heartbeat.
 func (e *Engine) Evaluate() []Status {
 	e.evals.Inc()
 	out := make([]Status, 0, len(e.objectives))

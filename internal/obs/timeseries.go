@@ -331,29 +331,45 @@ func (h HistSum) AtOrBelow(bound float64) float64 {
 // observations it returns 0; when the quantile lands in the +Inf
 // overflow bucket it returns the highest finite bound (a lower-bound
 // estimate, explicitly conservative the other way).
+//
+// Interpolation alone can land past every observation: one 10.8ms
+// sample in a (10ms, 25ms] bucket would read p50 17.5ms. So the
+// estimate is clamped to the most the aggregate permits. Every
+// observation is at least its bucket's lower bound, so no one of them
+// exceeds its own lower bound by more than Sum minus the sum of every
+// observation's lower bound. The clamp never goes below the winning
+// bucket's lower bound.
 func (h HistSum) Quantile(q float64) float64 {
-	var total float64
-	for _, c := range h.Counts {
-		total += c
+	if len(h.Bounds) == 0 {
+		return 0
 	}
-	if total == 0 || len(h.Bounds) == 0 {
+	lowerOf := func(i int) float64 {
+		if i == 0 {
+			return 0
+		}
+		return h.Bounds[min(i, len(h.Bounds))-1]
+	}
+	var total float64
+	slack := h.Sum
+	for i, c := range h.Counts {
+		total += c
+		slack -= c * lowerOf(i)
+	}
+	if total == 0 {
 		return 0
 	}
 	rank := q * total
 	var cum float64
 	for i, c := range h.Counts {
 		if i >= len(h.Bounds) {
-			return h.Bounds[len(h.Bounds)-1]
+			break
 		}
 		if cum+c >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.Bounds[i-1]
+			lower, est := lowerOf(i), h.Bounds[i]
+			if c > 0 {
+				est = lower + (h.Bounds[i]-lower)*((rank-cum)/c)
 			}
-			if c == 0 {
-				return h.Bounds[i]
-			}
-			return lower + (h.Bounds[i]-lower)*((rank-cum)/c)
+			return max(lower, min(est, lower+slack))
 		}
 		cum += c
 	}
@@ -393,8 +409,8 @@ func (ru *Rollup) CounterOver(name string, n int, match func(map[string]string) 
 // CounterDelta is how much a cumulative total grew from prev to cur. A
 // total that went backwards was reset (a process restart, or a registry
 // swap behind a shared reader), so what it counted since the reset, cur,
-// is the growth. The rollup's windows and the fleet digest's rates both
-// use this one rule.
+// is the growth. The rollup's windows and the leader's fleet roster
+// rates both use this one rule.
 func CounterDelta(prev, cur float64) float64 {
 	if cur < prev {
 		return cur

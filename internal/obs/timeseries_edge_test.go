@@ -189,6 +189,23 @@ func TestHistSumQuantile(t *testing.T) {
 	}
 }
 
+// TestHistSumQuantileClampedToSum: interpolation inside a bucket may
+// not read past what the aggregate sum allows. A single 10.8ms
+// observation in the (10ms, 25ms] bucket is every quantile.
+func TestHistSumQuantileClampedToSum(t *testing.T) {
+	reg := NewRegistry()
+	reg.Histogram("t_clamp_seconds", "q", PhaseBuckets()).With().Observe(0.0108)
+	ru := NewRollup(reg, time.Second, 4)
+	ru.Collect()
+
+	hs, _ := ru.HistOver("t_clamp_seconds", 0, nil)
+	for _, q := range []float64{0.5, 0.9} {
+		if got := hs.Quantile(q); math.Abs(got-0.0108) > 1e-12 {
+			t.Errorf("p%.0f = %v, want 0.0108", q*100, got)
+		}
+	}
+}
+
 // TestRollupLateHistogramAfterRingFull: a histogram series first seen
 // after the ring has filled must keep its bucket rows aligned with the
 // windows, or the trim cuts them and every quantile and good-event

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -46,8 +47,8 @@ type Follower struct {
 	// Node identifies this follower in fleet status and metrics.
 	Node string
 	// Self, when set, is the base URL this follower's own HTTP server is
-	// reachable at. It rides along on heartbeats so the leader's fleet
-	// roster doubles as a scrape/trace-federation target list.
+	// reachable at. It rides along on heartbeats so the leader's Fleet
+	// panel links this node's dashboard and can stitch its trace halves.
 	Self string
 	// Dir, when set, persists every adopted snapshot's raw bytes for
 	// cold starts.
@@ -202,14 +203,23 @@ func (f *Follower) fetchOnce(ctx context.Context, client *http.Client) (err erro
 	return nil
 }
 
-// heartbeat reports this follower's position to the fleet coordinator.
-// Best-effort: a missed heartbeat only ages this node in fleet status.
+// heartbeat reports this follower's position, and the counters and SLO
+// verdict behind its Fleet row, to the fleet coordinator. Best-effort:
+// a missed heartbeat only ages this node in fleet status.
 func (f *Follower) heartbeat(ctx context.Context, client *http.Client) {
 	g := f.Eng.Current()
 	if g == nil || f.Node == "" {
 		return
 	}
-	body, _ := json.Marshal(heartbeat{Node: f.Node, URL: f.Self, Seq: g.Seq, Generation: g.ID})
+	hb := heartbeat{Node: f.Node, URL: f.Self, Seq: g.Seq, Generation: g.ID,
+		redTotals: readRED(obs.Default()), SLOBudget: -1}
+	for _, st := range f.Eng.SLO().Evaluate() {
+		if hb.SLOBudget < 0 || st.BudgetRemaining < hb.SLOBudget {
+			hb.SLOBudget = st.BudgetRemaining
+		}
+		hb.Breached = hb.Breached || st.Breached
+	}
+	body, _ := json.Marshal(hb)
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.Base+"/replica/v1/fleet", bytes.NewReader(body))
@@ -224,4 +234,22 @@ func (f *Follower) heartbeat(ctx context.Context, client *http.Client) {
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
 	resp.Body.Close()
+}
+
+// readRED sums the HTTP counters of the registry this node's /metrics
+// serves: every request, the 5xx ones (a code starting with 5), and the
+// latency histogram's sum and count.
+func readRED(reg *obs.Registry) redTotals {
+	var t redTotals
+	for _, s := range reg.Snapshot("pdcu_http_requests_total") {
+		t.Requests += s.Value
+		if strings.HasPrefix(s.Labels["code"], "5") {
+			t.Errors5xx += s.Value
+		}
+	}
+	for _, s := range reg.Snapshot("pdcu_http_request_duration_seconds") {
+		t.DurationSum += s.Sum
+		t.DurationCount += float64(s.Count)
+	}
+	return t
 }

@@ -11,6 +11,7 @@ import (
 
 	"pdcunplugged/internal/engine"
 	"pdcunplugged/internal/obs"
+	"pdcunplugged/internal/obs/dash"
 	"pdcunplugged/internal/site"
 )
 
@@ -54,12 +55,14 @@ type encodedSnapshot struct {
 	data []byte
 }
 
-// followerState is one row of the fleet roster, keyed by node name.
+// followerState is one row of the fleet roster, keyed by node name: the
+// latest heartbeat and when it arrived, plus the counters and arrival
+// time of the one before it, from which the row's rates derive.
 type followerState struct {
-	URL        string    `json:"url,omitempty"`
-	Seq        uint64    `json:"seq"`
-	Generation string    `json:"generation"`
-	LastSeen   time.Time `json:"lastSeen"`
+	hb       heartbeat
+	seen     time.Time
+	prev     redTotals
+	prevSeen time.Time
 }
 
 // Leader serves the current generation to followers under /replica/v1/
@@ -253,23 +256,52 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // heartbeat is the body a follower POSTs to /replica/v1/fleet. URL is
-// the follower's advertised base URL, when it has one — the hook that
-// turns the roster into a fleet-observability target list.
+// the follower's advertised base URL, when it has one: the Fleet panel
+// links its dashboard and trace stitching asks it for trace halves. A
+// follower that predates the counters sends none of them; its rates
+// then read 0 and its budget -1.
 type heartbeat struct {
 	Node       string `json:"node"`
 	URL        string `json:"url,omitempty"`
 	Seq        uint64 `json:"seq"`
 	Generation string `json:"generation"`
+	redTotals
+	// SLOBudget is the minimum error budget remaining across the
+	// follower's objectives (-1 with none) and Breached whether any is
+	// in breach: the verdict the follower's own /slo serves.
+	SLOBudget float64 `json:"slo_budget"`
+	Breached  bool    `json:"breached"`
+}
+
+// redTotals are the cumulative counters behind a Fleet row's rates, as
+// the follower's own /metrics reports them.
+type redTotals struct {
+	Requests      float64 `json:"requests"`
+	Errors5xx     float64 `json:"errors_5xx"`
+	DurationSum   float64 `json:"duration_sum"`
+	DurationCount float64 `json:"duration_count"`
+}
+
+func (t redTotals) negative() bool {
+	return t.Requests < 0 || t.Errors5xx < 0 || t.DurationSum < 0 || t.DurationCount < 0
 }
 
 // FleetFollower is one follower's row in the fleet status response.
+// ReqRate and ErrRate are requests and 5xx per second, and MeanLatency
+// seconds per request, between its last two heartbeats (0 until it has
+// sent two); a counter that went backwards reads as a restart.
 type FleetFollower struct {
-	Node       string  `json:"node"`
-	URL        string  `json:"url,omitempty"`
-	Seq        uint64  `json:"seq"`
-	Generation string  `json:"generation"`
-	Lag        int64   `json:"lag"`
-	StaleSecs  float64 `json:"staleSeconds"`
+	Node        string  `json:"node"`
+	URL         string  `json:"url,omitempty"`
+	Seq         uint64  `json:"seq"`
+	Generation  string  `json:"generation"`
+	Lag         int64   `json:"lag"`
+	StaleSecs   float64 `json:"staleSeconds"`
+	ReqRate     float64 `json:"req_rate"`
+	ErrRate     float64 `json:"err_rate"`
+	MeanLatency float64 `json:"mean_latency_seconds"`
+	SLOBudget   float64 `json:"slo_budget"`
+	Breached    bool    `json:"breached"`
 }
 
 // FleetStatus is the /replica/v1/fleet GET response: the leader's
@@ -283,13 +315,17 @@ type FleetStatus struct {
 func (l *Leader) handleFleet(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var hb heartbeat
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&hb); err != nil || hb.Node == "" {
+		hb := heartbeat{SLOBudget: -1}
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&hb); err != nil || hb.Node == "" || hb.negative() {
 			http.Error(w, "bad heartbeat", http.StatusBadRequest)
 			return
 		}
 		l.mu.Lock()
-		l.fleet[hb.Node] = followerState{URL: hb.URL, Seq: hb.Seq, Generation: hb.Generation, LastSeen: time.Now()}
+		fs := followerState{hb: hb, seen: time.Now()}
+		if old, ok := l.fleet[hb.Node]; ok {
+			fs.prev, fs.prevSeen = old.hb.redTotals, old.seen
+		}
+		l.fleet[hb.Node] = fs
 		l.mu.Unlock()
 		// Refresh the fleet gauges on every heartbeat so /metrics stays
 		// current without anyone polling /fleet.
@@ -315,26 +351,59 @@ func (l *Leader) FleetStatus() FleetStatus {
 		st.LeaderSeq, st.LeaderGeneration = g.Seq, g.ID
 	}
 	for node, fs := range l.fleet {
-		if now.Sub(fs.LastSeen) > fleetWindow {
+		if now.Sub(fs.seen) > fleetWindow {
 			delete(l.fleet, node)
 			fleetLag.With(node).Set(0)
 			continue
 		}
-		lag := int64(st.LeaderSeq) - int64(fs.Seq)
-		st.Followers = append(st.Followers, FleetFollower{
+		ff := FleetFollower{
 			Node:       node,
-			URL:        fs.URL,
-			Seq:        fs.Seq,
-			Generation: fs.Generation,
-			Lag:        lag,
-			StaleSecs:  now.Sub(fs.LastSeen).Seconds(),
-		})
-		fleetLag.With(node).Set(float64(lag))
+			URL:        fs.hb.URL,
+			Seq:        fs.hb.Seq,
+			Generation: fs.hb.Generation,
+			Lag:        int64(st.LeaderSeq) - int64(fs.hb.Seq),
+			StaleSecs:  now.Sub(fs.seen).Seconds(),
+			SLOBudget:  fs.hb.SLOBudget,
+			Breached:   fs.hb.Breached,
+		}
+		if !fs.prevSeen.IsZero() && fs.seen.After(fs.prevSeen) {
+			secs := fs.seen.Sub(fs.prevSeen).Seconds()
+			cur := fs.hb.redTotals
+			ff.ReqRate = obs.CounterDelta(fs.prev.Requests, cur.Requests) / secs
+			ff.ErrRate = obs.CounterDelta(fs.prev.Errors5xx, cur.Errors5xx) / secs
+			if n := obs.CounterDelta(fs.prev.DurationCount, cur.DurationCount); n > 0 {
+				ff.MeanLatency = obs.CounterDelta(fs.prev.DurationSum, cur.DurationSum) / n
+			}
+		}
+		st.Followers = append(st.Followers, ff)
+		fleetLag.With(node).Set(float64(ff.Lag))
 	}
 	l.mu.Unlock()
 	sort.Slice(st.Followers, func(i, j int) bool { return st.Followers[i].Node < st.Followers[j].Node })
 	fleetFollowers.Set(float64(len(st.Followers)))
 	return st
+}
+
+// Peers is the roster as the dashboard reads it: one tracked peer per
+// live follower, for the Fleet panel and for trace stitching.
+func (l *Leader) Peers() []dash.Peer {
+	st := l.FleetStatus()
+	peers := make([]dash.Peer, len(st.Followers))
+	for i, f := range st.Followers {
+		peers[i] = dash.Peer{
+			Node:        f.Node,
+			URL:         f.URL,
+			Tracked:     true,
+			Age:         time.Duration(f.StaleSecs * float64(time.Second)),
+			Lag:         f.Lag,
+			ReqRate:     f.ReqRate,
+			ErrRate:     f.ErrRate,
+			MeanLatency: f.MeanLatency,
+			SLOBudget:   f.SLOBudget,
+			Breached:    f.Breached,
+		}
+	}
+	return peers
 }
 
 // AutoSave persists every published generation's snapshot under dir in
