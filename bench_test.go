@@ -464,20 +464,47 @@ func BenchmarkSiteBuildParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSiteRebuild contrasts a cold build with the two incremental
-// paths of a long-lived builder: a no-op rebuild (every job a cache hit)
-// and a rebuild after touching one activity (27 of 204 jobs re-render:
-// its two pages, its 18 term pages, and 7 repository-scoped jobs).
+// BenchmarkSiteRebuild contrasts a cold build with the incremental paths
+// of a long-lived builder: a no-op rebuild (every job a cache hit), a
+// body-only edit to one activity (a citation: 2 of 204 jobs re-render,
+// its page and assessment sheet) and a tag edit to it (one more course:
+// 28 jobs, its two pages, the 19 term pages listing it before or after,
+// and 7 whole-collection jobs).
 func BenchmarkSiteRebuild(b *testing.B) {
 	files := curation.Files()
 	touched := curation.Files()
 	touched["findsmallestcard"] += "\n- Rebuild benchmark citation.\n"
+	tagged := curation.Files()
+	for _, a := range curation.Activities() {
+		if a.Slug == "findsmallestcard" {
+			a.Courses = append(a.Courses, "Systems")
+			tagged[a.Slug] = a.Render()
+		}
+	}
 	repoFrom := func(fs map[string]string) *pdcunplugged.Repository {
 		repo, err := pdcunplugged.Load(fs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return repo
+	}
+	// warm alternates between the two corpora, so every iteration sees
+	// exactly one changed activity relative to the cached build.
+	warm := func(edited map[string]string) func(b *testing.B) {
+		return func(b *testing.B) {
+			builder := pdcunplugged.NewSiteBuilder(pdcunplugged.SiteBuildOptions{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src := files
+				if i%2 == 0 {
+					src = edited
+				}
+				if _, err := builder.Build(repoFrom(src)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 
 	b.Run("cold", func(b *testing.B) {
@@ -501,22 +528,8 @@ func BenchmarkSiteRebuild(b *testing.B) {
 			}
 		}
 	})
-	b.Run("warm-touch-one", func(b *testing.B) {
-		builder := pdcunplugged.NewSiteBuilder(pdcunplugged.SiteBuildOptions{})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Alternate between the two corpora so every iteration sees
-			// exactly one changed activity relative to the cached build.
-			src := files
-			if i%2 == 0 {
-				src = touched
-			}
-			if _, err := builder.Build(repoFrom(src)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("warm-touch-one", warm(touched))
+	b.Run("warm-touch-one-tag", warm(tagged))
 }
 
 // BenchmarkCorpusLoad measures the full Markdown pipeline: render all 38

@@ -134,6 +134,27 @@ func (a *Activity) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// HeaderFingerprint returns a content hash of the activity's header: the
+// fields listing pages (term, source and view pages, the index, the JSON
+// API) read. It covers the slug, the whether-assessed bit (HasAssessment)
+// and the canonical serialization's prefix up to the end of the author
+// section, which holds the title, date, source, the seven tag lists, the
+// author and the links. A body-only edit (details, variations, courses
+// note, accessibility, assessment prose, citations) leaves it unchanged.
+func (a *Activity) HeaderFingerprint() string {
+	var buf [1024]byte // a header rarely outgrows it, so this stays on the stack
+	b := append(append(buf[:0], a.Slug...), 0)
+	if a.HasAssessment() {
+		b = append(b, '1')
+	} else {
+		b = append(b, '0')
+	}
+	sum := sha256.Sum256(a.appendHeader(append(b, 0)))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
+}
+
 // HasExternalResources reports whether the activity links to slides,
 // handouts or other materials (Section III-A reports this for 41% of the
 // curation).
@@ -298,38 +319,8 @@ func (a *Activity) canonical() []byte {
 // and Fingerprint share it, so a fingerprint costs one buffer and one
 // hash.
 func (a *Activity) appendCanonical(b []byte) []byte {
-	b = append(b, "---\n"...)
-	b = appendScalar(b, "title", a.Title)
-	if a.Date != "" {
-		b = appendScalar(b, "date", a.Date)
-	}
-	if a.Source != "" {
-		b = appendScalar(b, "source", a.Source)
-	}
-	b = appendList(b, "cs2013", a.CS2013)
-	b = appendList(b, "tcpp", a.TCPP)
-	b = appendList(b, "courses", a.Courses)
-	b = appendList(b, "senses", a.Senses)
-	b = appendList(b, "cs2013details", a.CS2013Details)
-	b = appendList(b, "tcppdetails", a.TCPPDetails)
-	b = appendList(b, "medium", a.Medium)
-	b = append(b, "---\n\n"...)
-
-	b, at := appendHeading(b, SecAuthor, true)
-	lines := 0
-	if a.Author != "" {
-		b = append(b, a.Author...)
-		lines++
-	}
-	for _, l := range a.Links {
-		b = appendLine(b, l, lines)
-		lines++
-	}
-	if len(a.Links) == 0 {
-		b = appendLine(b, NoExternalNote, lines)
-	}
-	b = endSection(b, at)
-
+	b = a.appendHeader(b)
+	var at int
 	if a.Details != "" {
 		b, at = appendHeading(b, SecDetails, false)
 		b = endSection(append(b, a.Details...), at)
@@ -425,6 +416,44 @@ func (a *Activity) appendCanonical(b []byte) []byte {
 	b = endSection(append(b, a.Assessment...), at)
 	b, at = appendHeading(b, SecCitations, false)
 	return endSection(appendBullets(b, at, a.Citations), at)
+}
+
+// appendHeader appends the canonical file's header: the front matter and
+// the author section, which together hold every field HeaderFingerprint
+// covers except the slug and the assessment bit. It is the prefix of
+// appendCanonical's output.
+func (a *Activity) appendHeader(b []byte) []byte {
+	b = append(b, "---\n"...)
+	b = appendScalar(b, "title", a.Title)
+	if a.Date != "" {
+		b = appendScalar(b, "date", a.Date)
+	}
+	if a.Source != "" {
+		b = appendScalar(b, "source", a.Source)
+	}
+	b = appendList(b, "cs2013", a.CS2013)
+	b = appendList(b, "tcpp", a.TCPP)
+	b = appendList(b, "courses", a.Courses)
+	b = appendList(b, "senses", a.Senses)
+	b = appendList(b, "cs2013details", a.CS2013Details)
+	b = appendList(b, "tcppdetails", a.TCPPDetails)
+	b = appendList(b, "medium", a.Medium)
+	b = append(b, "---\n\n"...)
+
+	b, at := appendHeading(b, SecAuthor, true)
+	lines := 0
+	if a.Author != "" {
+		b = append(b, a.Author...)
+		lines++
+	}
+	for _, l := range a.Links {
+		b = appendLine(b, l, lines)
+		lines++
+	}
+	if len(a.Links) == 0 {
+		b = appendLine(b, NoExternalNote, lines)
+	}
+	return endSection(b, at)
 }
 
 // appendScalar appends a quoted front-matter scalar line.

@@ -130,3 +130,16 @@ func BenchmarkFingerprint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHeaderFingerprint header-fingerprints every builtin activity
+// once per iteration: what the site builder adds per activity it has not
+// seen before.
+func BenchmarkHeaderFingerprint(b *testing.B) {
+	acts := curation.Activities()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, a := range acts {
+			a.HeaderFingerprint()
+		}
+	}
+}

@@ -11,15 +11,11 @@ import (
 	"pdcunplugged/internal/curation"
 )
 
-// rehash recomputes an aggregate fingerprint the way the repository
+// rehash recomputes the repository fingerprint the way the repository
 // defines it, straight from each activity's own Fingerprint method.
-func rehash(t *testing.T, repo *core.Repository, prefix []string, slugs []string) string {
+func rehash(t *testing.T, repo *core.Repository, slugs []string) string {
 	t.Helper()
 	h := sha256.New()
-	for _, p := range prefix {
-		io.WriteString(h, p)
-		h.Write([]byte{0})
-	}
 	for _, slug := range slugs {
 		a, ok := repo.Get(slug)
 		if !ok {
@@ -33,9 +29,21 @@ func rehash(t *testing.T, repo *core.Repository, prefix []string, slugs []string
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// headerFold recomputes the repository header fingerprint straight from
+// each activity's own HeaderFingerprint method.
+func headerFold(repo *core.Repository) string {
+	h := sha256.New()
+	for _, a := range repo.All() {
+		io.WriteString(h, a.HeaderFingerprint())
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestFingerprintMemo checks that the memoized per-activity fingerprints
 // and the aggregates built from them equal a direct re-hash of every
-// activity over the federated builtin+csinparallel corpus.
+// activity over the federated builtin+csinparallel corpus; likewise the
+// header fingerprints and their fold.
 func TestFingerprintMemo(t *testing.T) {
 	repo, err := corpus.LoadAll(corpus.Builtin(), corpus.CSinParallel())
 	if err != nil {
@@ -49,17 +57,19 @@ func TestFingerprintMemo(t *testing.T) {
 	if got := repo.ActivityFingerprint("no-such-activity"); got != "" {
 		t.Errorf("unknown slug fingerprint = %q, want empty", got)
 	}
-	if got, want := repo.Fingerprint(), rehash(t, repo, nil, repo.Slugs()); got != want {
+	if got, want := repo.Fingerprint(), rehash(t, repo, repo.Slugs()); got != want {
 		t.Errorf("Fingerprint = %.16s, want %.16s", got, want)
 	}
-	if len(repo.Sources()) != 2 {
-		t.Fatalf("sources = %v, want builtin and csinparallel", repo.Sources())
-	}
-	for _, src := range repo.Sources() {
-		want := rehash(t, repo, []string{src}, repo.BySource(src))
-		if got := repo.SourceFingerprint(src); got != want {
-			t.Errorf("SourceFingerprint(%q) = %.16s, want %.16s", src, got, want)
+	for _, a := range repo.All() {
+		if got, want := repo.ActivityHeaderFingerprint(a.Slug), a.HeaderFingerprint(); got != want {
+			t.Errorf("ActivityHeaderFingerprint(%q) = %.16s, want %.16s", a.Slug, got, want)
 		}
+	}
+	if got := repo.ActivityHeaderFingerprint("no-such-activity"); got != "" {
+		t.Errorf("unknown slug header fingerprint = %q, want empty", got)
+	}
+	if got, want := repo.HeaderFingerprint(), headerFold(repo); got != want {
+		t.Errorf("HeaderFingerprint = %.16s, want %.16s", got, want)
 	}
 }
 
@@ -131,5 +141,44 @@ func TestNewFromCarriesFingerprints(t *testing.T) {
 	}
 	if cold.ActivityFingerprint(shared.Slug) == sharedFP {
 		t.Error("New without prev kept a stale fingerprint")
+	}
+}
+
+// TestNewFromCarriesHeaderFingerprints: header fingerprints are carried
+// on pointer identity like full ones, but only when prev computed them.
+// NewFrom never hashes prev's headers, so a repository nobody built a
+// site from (a follower's) costs no header hashing. As above, writing to
+// a shared activity exposes which value was kept.
+func TestNewFromCarriesHeaderFingerprints(t *testing.T) {
+	acts := curation.Activities()
+	hashed, err := core.New(acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unhashed, err := core.New(acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := acts[0]
+	before := hashed.ActivityHeaderFingerprint(shared.Slug)
+	shared.Title += " (edited in place)"
+	edited := shared.HeaderFingerprint()
+	if edited == before {
+		t.Fatal("a title edit left the header fingerprint unchanged")
+	}
+
+	fromHashed, err := core.NewFrom(hashed, acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fromHashed.ActivityHeaderFingerprint(shared.Slug); got != before {
+		t.Errorf("header fingerprint %.16s, want the carried %.16s", got, before)
+	}
+	fromUnhashed, err := core.NewFrom(unhashed, acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fromUnhashed.ActivityHeaderFingerprint(shared.Slug); got != edited {
+		t.Errorf("header fingerprint %.16s, want %.16s hashed afresh", got, edited)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"pdcunplugged/internal/activity"
 	"pdcunplugged/internal/cs2013"
@@ -38,6 +39,13 @@ type Repository struct {
 	fpOnce sync.Once
 	fp     string
 	actFP  map[string]string // slug -> activity fingerprint: carried ones from NewFrom, the rest filled under fpOnce
+
+	// Header fingerprints are the site builder's alone: nothing else
+	// pays for them, and they are computed the first time it asks.
+	hdrOnce sync.Once
+	hdrDone atomic.Bool       // set once hdrOnce has filled hdrFP and hdr
+	hdr     string            // fold of every activity's header fingerprint
+	hdrFP   map[string]string // slug -> header fingerprint: carried ones from NewFrom, the rest filled under hdrOnce
 }
 
 // New builds a repository from parsed activities, validating each one and
@@ -53,6 +61,7 @@ func NewFrom(prev *Repository, acts []*activity.Activity) (*Repository, error) {
 	r := &Repository{activities: make(map[string]*activity.Activity, len(acts))}
 	if prev != nil {
 		r.actFP = make(map[string]string, len(acts))
+		r.hdrFP = make(map[string]string, len(acts))
 	}
 	var problems []string
 	var entries []taxonomy.Entry
@@ -76,6 +85,9 @@ func NewFrom(prev *Repository, acts []*activity.Activity) (*Repository, error) {
 		r.order = append(r.order, a.Slug)
 		if prev != nil && prev.activities[a.Slug] == a {
 			r.actFP[a.Slug] = prev.ActivityFingerprint(a.Slug)
+			if prev.hdrDone.Load() {
+				r.hdrFP[a.Slug] = prev.hdrFP[a.Slug]
+			}
 		}
 		entries = append(entries, a)
 	}
@@ -176,9 +188,9 @@ func (r *Repository) All() []*activity.Activity {
 func (r *Repository) Index() *taxonomy.Index { return r.index }
 
 // Fingerprint returns a content hash over every activity in slug order.
-// Repository-scoped pages (index, term pages, views, API) depend on the
-// whole collection, so the incremental site builder keys their cache
-// entries on this value. Computed once; the repository is immutable.
+// It names the generation: its first 16 hex digits are the generation
+// ID, and a replica verifies a decoded snapshot against it. Computed
+// once; the repository is immutable.
 func (r *Repository) Fingerprint() string {
 	r.fingerprints()
 	return r.fp
@@ -237,6 +249,47 @@ func (r *Repository) fingerprints() {
 	})
 }
 
+// HeaderFingerprint returns a content hash over every activity's header
+// fingerprint in slug order. Pages that list or aggregate the whole
+// collection (index, views, API, dramatizations) read only activity
+// headers, so the site builder keys them on this value: a body-only edit
+// leaves it unchanged. Computed once, and only when first asked for.
+func (r *Repository) HeaderFingerprint() string {
+	r.headers()
+	return r.hdr
+}
+
+// ActivityHeaderFingerprint returns the header fingerprint of one
+// activity (equal to its HeaderFingerprint method), or "" for an unknown
+// slug.
+func (r *Repository) ActivityHeaderFingerprint(slug string) string {
+	r.headers()
+	return r.hdrFP[slug]
+}
+
+// headers computes every header fingerprint NewFrom did not carry over,
+// and their fold in slug order, once. A header is a short prefix of the
+// canonical render, so this runs serially.
+func (r *Repository) headers() {
+	r.hdrOnce.Do(func() {
+		if r.hdrFP == nil {
+			r.hdrFP = make(map[string]string, len(r.order))
+		}
+		h := sha256.New()
+		for _, slug := range r.order {
+			fp, ok := r.hdrFP[slug]
+			if !ok {
+				fp = r.activities[slug].HeaderFingerprint()
+				r.hdrFP[slug] = fp
+			}
+			io.WriteString(h, fp)
+			h.Write([]byte{0})
+		}
+		r.hdr = hex.EncodeToString(h.Sum(nil))
+		r.hdrDone.Store(true)
+	})
+}
+
 // Sources returns the distinct non-empty source names present in the
 // repository, sorted. A legacy single-corpus repository (no provenance
 // stamped) returns nil.
@@ -247,21 +300,9 @@ func (r *Repository) BySource(source string) []string {
 	return append([]string(nil), r.bySource[source]...)
 }
 
-// SourceFingerprint returns a content hash over one source's activities
-// in slug order. Per-source site pages key their cache entries on this,
-// so editing one source invalidates only that source's browse page.
-func (r *Repository) SourceFingerprint(source string) string {
-	h := sha256.New()
-	io.WriteString(h, source)
-	h.Write([]byte{0})
-	for _, slug := range r.bySource[source] {
-		io.WriteString(h, slug)
-		h.Write([]byte{0})
-		io.WriteString(h, r.ActivityFingerprint(slug))
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// SourceLen returns how many activities one source contributes, without
+// copying its slug list.
+func (r *Repository) SourceLen(source string) int { return len(r.bySource[source]) }
 
 func sourceLabel(a *activity.Activity) string {
 	if a.Source == "" {

@@ -250,7 +250,7 @@ func ObserveRepository(r *core.Repository) {
 	}
 	attributed := 0
 	for _, src := range r.Sources() {
-		n := len(r.BySource(src))
+		n := r.SourceLen(src)
 		attributed += n
 		sourceActivities.With(src).Set(float64(n))
 	}

@@ -104,17 +104,14 @@ func TestLoadAllFederates(t *testing.T) {
 		t.Error("federated fingerprint equals unstamped curation fingerprint")
 	}
 
-	// SourceFingerprint isolation: reloading only one source's activities
-	// yields the same per-source hash for the untouched source.
-	again, err := LoadAll(Builtin(), CSinParallel())
-	if err != nil {
-		t.Fatal(err)
+	// SourceLen counts what BySource lists, without the copy.
+	for _, src := range repo.Sources() {
+		if got, want := repo.SourceLen(src), len(repo.BySource(src)); got != want {
+			t.Errorf("SourceLen(%q) = %d, want %d", src, got, want)
+		}
 	}
-	if repo.SourceFingerprint("builtin") != again.SourceFingerprint("builtin") {
-		t.Error("SourceFingerprint not deterministic")
-	}
-	if repo.SourceFingerprint("builtin") == repo.SourceFingerprint("csinparallel") {
-		t.Error("distinct sources share a fingerprint")
+	if n := repo.SourceLen("no-such-source"); n != 0 {
+		t.Errorf("SourceLen of an unknown source = %d, want 0", n)
 	}
 }
 

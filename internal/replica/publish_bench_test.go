@@ -15,9 +15,14 @@ import (
 
 // BenchmarkPublish measures the write path one edit takes, layer by
 // layer, over the builtin catalog plus 50 generated activities on disk:
-// the leader's incremental rebuild after touching one file, snapshot
-// encode, snapshot decode (which re-validates the corpus and verifies its
-// fingerprint), and a follower adopting the decoded generation.
+//   - rebuild_touch_one: the leader's rebuild after a body-only edit to
+//     one file (a citation). The load parses that file alone, the site
+//     build re-renders its activity page and assessment sheet (2 jobs),
+//     and the index build tokenizes that activity alone;
+//   - encode: the snapshot encode;
+//   - decode: the snapshot decode, which re-validates the corpus and
+//     verifies its fingerprint;
+//   - adopt: a follower adopting the decoded generation.
 func BenchmarkPublish(b *testing.B) {
 	obs.SetLevel(slog.LevelWarn) // Adopt logs every publish at info
 	b.Cleanup(func() { obs.SetLevel(slog.LevelInfo) })

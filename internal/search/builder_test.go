@@ -42,9 +42,10 @@ func corpusActivities(t *testing.T) []*activity.Activity {
 }
 
 // TestBuilderMatchesBuild drives one memoized builder through a seeded
-// sequence of corpus edits. After every edit its index must encode
-// byte-identically to a from-scratch Build of the same corpus, and its
-// memo must hold exactly one vector per activity.
+// sequence of corpus edits. After every edit its index, built on the
+// previous build's patched vocabulary, must encode byte-identically to a
+// from-scratch Build of the same corpus, and its memo must hold exactly
+// one vector per activity.
 func TestBuilderMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	acts := corpusActivities(t)
@@ -83,6 +84,13 @@ func TestBuilderMatchesBuild(t *testing.T) {
 				} else {
 					a.Courses = []string{"CS1"}
 				}
+			})
+		}},
+		{"reword one", func(step int) {
+			// Words no other document uses come and go in one step, so
+			// the patched vocabulary both gains and loses terms.
+			edit(pick(), func(a *activity.Activity) {
+				a.Details = fmt.Sprintf("Reworded %d: quorum%d lattice%d tableau.", step, step, step)
 			})
 		}},
 		{"change only source", func(int) {

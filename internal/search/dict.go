@@ -137,3 +137,141 @@ func editDistanceOne(a, b string) bool {
 	_, size := utf8.DecodeRuneInString(rest)
 	return size == len(rest)
 }
+
+// vocabulary is one build's dictionary together with what the next
+// build needs to patch it rather than intern every term again: each
+// term's document frequency, the build's per-document term vectors and
+// each vector's term IDs. It is immutable once built; a Builder keeps
+// the latest one.
+type vocabulary struct {
+	terms []string                 // sorted; term ID = index
+	df    []uint32                 // term ID -> documents using the term
+	vecs  []*termVector            // the build's documents' vectors, in doc-ID order
+	tids  map[*termVector][]uint32 // vector -> its terms' IDs, in its terms order
+}
+
+// newVocabulary interns every term of vecs, which hold total postings.
+func newVocabulary(vecs []*termVector, total int) *vocabulary {
+	// term -> ID once buildDict lays the dictionary out; sized for a
+	// term's ~2 documents on average.
+	ids := make(map[string]uint32, total/2)
+	for _, v := range vecs {
+		for _, tok := range v.terms {
+			ids[tok] = 0
+		}
+	}
+	voc := &vocabulary{
+		terms: buildDict(ids).terms,
+		vecs:  vecs,
+		tids:  make(map[*termVector][]uint32, len(vecs)),
+	}
+	voc.df = make([]uint32, len(voc.terms))
+	slab := make([]uint32, 0, total)
+	for _, v := range vecs {
+		tids, seen := voc.tids[v]
+		if !seen {
+			for _, tok := range v.terms {
+				slab = append(slab, ids[tok])
+			}
+			tids = slab[len(slab)-len(v.terms) : len(slab) : len(slab)]
+			voc.tids[v] = tids
+		}
+		for _, id := range tids {
+			voc.df[id]++
+		}
+	}
+	return voc
+}
+
+// patch returns the vocabulary of vecs, which hold total postings,
+// derived from p's. Only the vectors whose document count changed are
+// visited term by term: the old dictionary loses the terms no document
+// uses any more and gains the new ones in one sorted merge, and the
+// carried vectors' term IDs are renumbered through an old-to-new ID
+// table. The result equals newVocabulary(vecs, total).
+func (p *vocabulary) patch(vecs []*termVector, total int) *vocabulary {
+	// How many more (or fewer) documents use each vector than before.
+	delta := make(map[*termVector]int, len(vecs))
+	for _, v := range p.vecs {
+		delta[v]--
+	}
+	for _, v := range vecs {
+		delta[v]++
+	}
+	df := append([]uint32(nil), p.df...)
+	added := map[string]uint32{} // term p lacks -> documents using it
+	for v, n := range delta {
+		if n == 0 {
+			continue
+		}
+		if tids, ok := p.tids[v]; ok {
+			for _, id := range tids {
+				df[id] = uint32(int(df[id]) + n)
+			}
+			continue
+		}
+		// A vector p never saw, so only ever added (n > 0).
+		for _, tok := range v.terms {
+			if id, ok := p.dict().lookup(tok); ok {
+				df[id] += uint32(n)
+			} else {
+				added[tok] += uint32(n)
+			}
+		}
+	}
+	fresh := make([]string, 0, len(added))
+	for tok := range added {
+		fresh = append(fresh, tok)
+	}
+	sort.Strings(fresh)
+
+	// Merge the surviving old terms with the fresh ones. renum maps an
+	// old ID to its new one; added maps a fresh term to its new ID.
+	voc := &vocabulary{
+		terms: make([]string, 0, len(p.terms)+len(fresh)),
+		df:    make([]uint32, 0, len(p.terms)+len(fresh)),
+		vecs:  vecs,
+		tids:  make(map[*termVector][]uint32, len(vecs)),
+	}
+	renum := make([]uint32, len(p.terms))
+	for i, j := 0, 0; i < len(p.terms) || j < len(fresh); {
+		if j == len(fresh) || (i < len(p.terms) && p.terms[i] < fresh[j]) {
+			if df[i] > 0 {
+				renum[i] = uint32(len(voc.terms))
+				voc.terms = append(voc.terms, p.terms[i])
+				voc.df = append(voc.df, df[i])
+			}
+			i++
+			continue
+		}
+		voc.df = append(voc.df, added[fresh[j]])
+		added[fresh[j]] = uint32(len(voc.terms))
+		voc.terms = append(voc.terms, fresh[j])
+		j++
+	}
+
+	slab := make([]uint32, 0, total)
+	for _, v := range vecs {
+		if _, done := voc.tids[v]; done {
+			continue
+		}
+		if old, ok := p.tids[v]; ok {
+			for _, id := range old {
+				slab = append(slab, renum[id])
+			}
+		} else {
+			for _, tok := range v.terms {
+				if id, ok := p.dict().lookup(tok); ok {
+					slab = append(slab, renum[id])
+				} else {
+					slab = append(slab, added[tok])
+				}
+			}
+		}
+		voc.tids[v] = slab[len(slab)-len(v.terms) : len(slab) : len(slab)]
+	}
+	return voc
+}
+
+// dict returns the vocabulary's terms as a dictionary.
+func (p *vocabulary) dict() dict { return dict{terms: p.terms} }

@@ -18,7 +18,9 @@
 //
 // An index is assembled from per-document weighted term vectors. A
 // long-lived Builder memoizes those vectors by content key across
-// builds, so a rebuild after a one-file edit tokenizes one document.
+// builds, so a rebuild after a one-file edit tokenizes one document,
+// and patches the previous build's sorted vocabulary with the terms
+// that came and went rather than sorting it again.
 //
 // Doc IDs are assigned in slug order, which makes doc-ID order the
 // repository's canonical ordering: tie-breaks and bitset iteration need
@@ -219,13 +221,17 @@ func vectorize(a *activity.Activity) *termVector {
 
 // Builder builds indexes while memoizing each document's term vector
 // under a caller-supplied content key, so a rebuild after a one-file
-// edit tokenizes only the edited document. The dictionary, postings,
-// norms and facet bitsets are still assembled from every vector. The
-// memo keeps only the latest build's keys, so it is bounded by the
-// corpus size. A Builder is safe for concurrent use.
+// edit tokenizes only the edited document. It also keeps the latest
+// build's vocabulary, which the next build patches with the terms the
+// edit added and the terms no document uses any more instead of
+// interning and sorting every term again. The postings, norms and facet
+// bitsets are still assembled from every vector. The memo keeps only
+// the latest build's keys, so it is bounded by the corpus size. A
+// Builder is safe for concurrent use.
 type Builder struct {
 	mu   sync.Mutex
 	memo map[string]*termVector // content key -> term vector
+	last *vocabulary            // the latest build's vocabulary, nil before the first
 }
 
 // NewBuilder returns a builder with an empty memo.
@@ -243,10 +249,10 @@ func (b *Builder) Build(acts []*activity.Activity, key func(slug string) string)
 	// A memo map is never written after it is published, so builds read
 	// the previous one without holding the lock.
 	b.mu.Lock()
-	prev := b.memo
+	prev, last := b.memo, b.last
 	b.mu.Unlock()
 	next := make(map[string]*termVector, len(acts))
-	ix := build(acts, func(a *activity.Activity) *termVector {
+	ix, voc := build(acts, last, func(a *activity.Activity) *termVector {
 		k := key(a.Slug)
 		v := next[k]
 		if v == nil {
@@ -259,7 +265,7 @@ func (b *Builder) Build(acts []*activity.Activity, key func(slug string) string)
 		return v
 	})
 	b.mu.Lock()
-	b.memo = next
+	b.memo, b.last = next, voc
 	b.mu.Unlock()
 	return ix
 }
@@ -267,14 +273,17 @@ func (b *Builder) Build(acts []*activity.Activity, key func(slug string) string)
 // Build indexes the given activities from scratch: the memo-less case
 // of Builder.Build.
 func Build(acts []*activity.Activity) *Index {
-	return build(acts, vectorize)
+	ix, _ := build(acts, nil, vectorize)
+	return ix
 }
 
 // build assembles an index from the documents' term vectors: intern the
-// vocabulary, lay the posting lists out as slabs in doc-ID order, and
-// precompute one doc bitset per in-use taxonomy term. vector supplies
-// each document's term vector, tokenizing it or recalling it.
-func build(acts []*activity.Activity, vector func(*activity.Activity) *termVector) *Index {
+// vocabulary (or patch prev's, when given), lay the posting lists out as
+// slabs in doc-ID order, and precompute one doc bitset per in-use
+// taxonomy term. vector supplies each document's term vector, tokenizing
+// it or recalling it. It returns the vocabulary with the index, for the
+// next build to patch.
+func build(acts []*activity.Activity, prev *vocabulary, vector func(*activity.Activity) *termVector) (*Index, *vocabulary) {
 	buildCalls.Add(1)
 	start := time.Now()
 	n := len(acts)
@@ -289,20 +298,18 @@ func build(acts []*activity.Activity, vector func(*activity.Activity) *termVecto
 		vecs[d] = vector(a)
 		total += len(vecs[d].terms)
 	}
-	// term -> ID once buildDict lays the dictionary out; sized for a
-	// term's ~2 documents on average.
-	vocab := make(map[string]uint32, total/2)
-	for _, v := range vecs {
-		for _, tok := range v.terms {
-			vocab[tok] = 0
-		}
+	var voc *vocabulary
+	if prev != nil {
+		voc = prev.patch(vecs, total)
+	} else {
+		voc = newVocabulary(vecs, total)
 	}
 
 	ix := &Index{
 		docCount: n,
 		slugs:    make([]string, n),
 		norms:    make([]float64, n),
-		dict:     buildDict(vocab),
+		dict:     dict{terms: voc.terms},
 		all:      fillBitset(n),
 	}
 	for d, a := range sorted {
@@ -310,47 +317,30 @@ func build(acts []*activity.Activity, vector func(*activity.Activity) *termVecto
 		ix.norms[d] = vecs[d].norm
 	}
 
-	// Pass 2: resolve every posting's term ID once and count document
-	// frequencies.
-	tids := make([]uint32, total)
-	df := make([]uint32, ix.dict.len_())
-	k := 0
-	for _, v := range vecs {
-		for _, tok := range v.terms {
-			tid := vocab[tok]
-			tids[k] = tid
-			df[tid]++
-			k++
-		}
-	}
-
-	// Pass 3: slab layout. Prefix-sum the document frequencies into the
+	// Pass 2: slab layout. Prefix-sum the document frequencies into the
 	// offsets table, then scatter postings; walking documents in doc-ID
 	// order leaves every span sorted by doc ID.
 	offsets := make([]uint32, ix.dict.len_()+1)
 	var sum uint32
-	for tid, c := range df {
+	for tid, c := range voc.df {
 		offsets[tid] = sum
 		sum += c
 	}
-	offsets[len(df)] = sum
-	next := append([]uint32(nil), offsets[:len(df)]...)
+	offsets[len(voc.df)] = sum
+	next := append([]uint32(nil), offsets[:len(voc.df)]...)
 	ids := make([]uint32, total)
 	tfs := make([]float32, total)
-	k = 0
 	for d, v := range vecs {
-		for _, tf := range v.tfs {
-			tid := tids[k]
+		for i, tid := range voc.tids[v] {
 			pos := next[tid]
 			ids[pos] = uint32(d)
-			tfs[pos] = tf
+			tfs[pos] = v.tfs[i]
 			next[tid]++
-			k++
 		}
 	}
 	ix.post = postings{offsets: offsets, ids: ids, tfs: tfs}
 
-	// Pass 4: facet bitsets for every standard taxonomy term in use,
+	// Pass 3: facet bitsets for every standard taxonomy term in use,
 	// plus the corpus-source provenance dimension. Source is a facet
 	// only — never tokenized into postings — so federating sources
 	// cannot perturb ranking (the search/2 parity contract).
@@ -401,7 +391,7 @@ func build(acts []*activity.Activity, vector func(*activity.Activity) *termVecto
 	indexPostingsBytesGauge.Set(float64(ix.stats.PostingsBytes))
 	indexBitsetBytesGauge.Set(float64(ix.stats.BitsetBytes))
 	indexBuildSecondsGauge.Set(ix.stats.BuildSeconds)
-	return ix
+	return ix, voc
 }
 
 // Len returns the number of indexed documents.

@@ -51,9 +51,10 @@ type cacheEntry struct {
 type Builder struct {
 	opts Options
 
-	mu    sync.Mutex
-	cache map[string]cacheEntry
-	last  BuildStats
+	mu      sync.Mutex
+	cache   map[string]cacheEntry
+	listing *listingKeys // the latest plan's listing page keys
+	last    BuildStats
 }
 
 // NewBuilder returns a builder with an empty page cache.
@@ -104,10 +105,14 @@ func (b *Builder) BuildContext(ctx context.Context, repo *core.Repository) (*Sit
 	if len(b.cache) > 0 {
 		kind = "incremental"
 	}
+	prevKeys := b.listing
 	b.mu.Unlock()
 	span.SetAttr("kind", kind)
 
-	jobs := planJobs(repo)
+	jobs, keys := planJobs(repo, prevKeys)
+	b.mu.Lock()
+	b.listing = keys
+	b.mu.Unlock()
 	workers := b.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

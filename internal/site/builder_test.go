@@ -2,16 +2,22 @@ package site
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"pdcunplugged/internal/activity"
 	"pdcunplugged/internal/core"
 	"pdcunplugged/internal/corpus"
+	"pdcunplugged/internal/cs2013"
 	"pdcunplugged/internal/curation"
 	"pdcunplugged/internal/taxonomy"
+	"pdcunplugged/internal/tcpp"
 )
 
 // corpusRepo loads a repository from an optionally-edited copy of the
@@ -54,11 +60,54 @@ func termJobIDs(repo *core.Repository, slug string) map[string]bool {
 	return ids
 }
 
-// touchOneMisses is the number of jobs one edited activity re-renders:
-// its page and assessment sheet, the term pages listing it, and the
-// repository-scoped jobs (all the fixed ones but static).
-func touchOneMisses(repo *core.Repository, slug string) int {
-	return 2 + len(termJobIDs(repo, slug)) + fixedRepoJobs - 1
+// bodyEditMisses is the number of jobs a body-only edit (details,
+// variations, courses note, accessibility, assessment prose, citations)
+// re-renders: the activity's page and assessment sheet.
+const bodyEditMisses = 2
+
+// headerEditMisses is the number of jobs a header edit to one activity
+// re-renders when it lists the same terms before and after, or gains
+// terms: its page and assessment sheet, the term pages listing it in
+// repo, and the whole-collection jobs (all the fixed ones but static).
+func headerEditMisses(repo *core.Repository, slug string) int {
+	return bodyEditMisses + len(termJobIDs(repo, slug)) + fixedRepoJobs - 1
+}
+
+// withEdit returns the embedded corpus as a repository, with change
+// applied to a copy of the activity slug.
+func withEdit(t *testing.T, slug string, change func(a *activity.Activity)) *core.Repository {
+	t.Helper()
+	acts := corpusRepo(t, nil).All()
+	for i, a := range acts {
+		if a.Slug == slug {
+			edited := *a
+			change(&edited)
+			acts[i] = &edited
+		}
+	}
+	repo, err := core.New(acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return repo
+}
+
+// sameAsCold fails t unless s holds exactly the pages a cold build of
+// repo renders, byte for byte.
+func sameAsCold(t *testing.T, s *Site, repo *core.Repository) {
+	t.Helper()
+	cold, err := Build(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != cold.Len() {
+		t.Errorf("incremental build has %d pages, cold build %d", s.Len(), cold.Len())
+	}
+	for p, want := range cold.Pages {
+		if !bytes.Equal(s.Pages[p], want) {
+			t.Errorf("page %s differs from a cold build", p)
+		}
+	}
 }
 
 // TestParallelBuildMatchesSerial is the determinism contract of the
@@ -114,10 +163,12 @@ func TestBuildStats(t *testing.T) {
 	}
 }
 
-// TestIncrementalRebuild pins down the page-graph dependency story:
-// touching one activity re-renders exactly that activity's two jobs, the
-// term pages listing it, and the repository-scoped aggregation jobs, and
-// every untouched page comes back byte-identical from the cache.
+// TestIncrementalRebuild pins down the page-graph dependency story. A
+// body-only edit re-renders exactly the activity's two jobs, since no
+// listing page reads an activity's body. A tag edit also re-renders the
+// term pages listing the activity and the 7 whole-collection jobs (index,
+// 4 views, api, sims). Every untouched page comes back byte-identical
+// from the cache.
 func TestIncrementalRebuild(t *testing.T) {
 	b := NewBuilder(Options{})
 	first, err := b.Build(corpusRepo(t, nil))
@@ -138,37 +189,41 @@ func TestIncrementalRebuild(t *testing.T) {
 		t.Errorf("no-op rebuild changed page count: %d -> %d", first.Len(), same.Len())
 	}
 
-	// Touch one activity: its page + assessment sheet re-render
-	// (activity-scoped), as do its term pages and the 7
-	// repository-scoped jobs (index, 4 views, api, sims). The static job,
-	// the other term pages and the other 37 activities' 74 jobs stay
-	// cached.
-	repo := corpusRepo(t, func(files map[string]string) {
+	// Body-only edit: a citation. The other 202 jobs stay cached.
+	touched, err := b.Build(corpusRepo(t, func(files map[string]string) {
 		files["findsmallestcard"] += "\n- Rebuild benchmark citation.\n"
-	})
-	touched, err := b.Build(repo)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st = b.LastStats()
-	want := touchOneMisses(repo, "findsmallestcard")
-	if st.CacheMisses != want {
-		t.Errorf("one-activity rebuild: misses=%d, want %d", st.CacheMisses, want)
-	}
-	if st.CacheHits != st.Jobs-want {
-		t.Errorf("one-activity rebuild: hits=%d, want %d", st.CacheHits, st.Jobs-want)
+	if st.CacheMisses != bodyEditMisses || st.CacheHits != st.Jobs-bodyEditMisses {
+		t.Errorf("body-only rebuild: hits=%d misses=%d, want %d/%d", st.CacheHits, st.CacheMisses, st.Jobs-bodyEditMisses, bodyEditMisses)
 	}
 	if !bytes.Contains(touched.Pages["activities/findsmallestcard/index.html"], []byte("Rebuild benchmark citation")) {
 		t.Error("touched activity page not re-rendered")
 	}
 	// Untouched pages are byte-identical to the first build.
-	if !bytes.Equal(touched.Pages["activities/oddeven-transposition/index.html"],
-		first.Pages["activities/oddeven-transposition/index.html"]) {
-		t.Error("untouched activity page changed across incremental rebuild")
+	for _, p := range []string{"activities/oddeven-transposition/index.html", "index.html", "api/activities.json", "style.css"} {
+		if !bytes.Equal(touched.Pages[p], first.Pages[p]) {
+			t.Errorf("untouched page %s changed across a body-only rebuild", p)
+		}
 	}
-	if !bytes.Equal(touched.Pages["style.css"], first.Pages["style.css"]) {
-		t.Error("static page changed across incremental rebuild")
+
+	// Tag edit: a new course. Its existing term pages, the new course's
+	// term page and the whole-collection jobs re-render too.
+	repo := withEdit(t, "findsmallestcard", func(a *activity.Activity) {
+		a.Courses = append(a.Courses[:len(a.Courses):len(a.Courses)], "Outreach")
+	})
+	tagged, err := b.Build(repo)
+	if err != nil {
+		t.Fatal(err)
 	}
+	st = b.LastStats()
+	if want := headerEditMisses(repo, "findsmallestcard"); st.CacheMisses != want || st.CacheHits != st.Jobs-want {
+		t.Errorf("tag-edit rebuild: hits=%d misses=%d, want %d/%d", st.CacheHits, st.CacheMisses, st.Jobs-want, want)
+	}
+	sameAsCold(t, tagged, repo)
 }
 
 // TestBuilderCachePruning: jobs that vanish from the page graph take
@@ -212,10 +267,11 @@ func TestBuildWorkerClamping(t *testing.T) {
 }
 
 // TestPerSourceJobInvalidation pins the federation dependency story:
-// per-source browse pages key on that source's fingerprint, so touching
-// one source's activity re-renders its own source page (plus the
-// overview and the usual activity/repository jobs) while every other
-// source's page stays cached.
+// a per-source browse page keys on its members' headers and the overview
+// on each source's name and count. A body-only edit re-renders only the
+// activity's two jobs. A tag edit to an alpha activity also re-renders
+// alpha's browse page (and the usual term and whole-collection jobs),
+// while beta's browse page and the overview stay cached.
 func TestPerSourceJobInvalidation(t *testing.T) {
 	files := curation.Files()
 	slugs := make([]string, 0, len(files))
@@ -253,33 +309,59 @@ func TestPerSourceJobInvalidation(t *testing.T) {
 		t.Fatal("federated build is missing source browse pages")
 	}
 
-	// Touch one activity in alpha: the usual one-activity misses plus
-	// alpha's browse page and the overview re-render, while beta's
-	// browse page stays cached.
 	touched := filepath.Join(dirs[0], slugs[0]+".md")
-	body, err := os.ReadFile(touched)
+	rewrite := func(change func(a *activity.Activity)) *core.Repository {
+		t.Helper()
+		body, err := os.ReadFile(touched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := activity.Parse(slugs[0], string(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		change(a)
+		if err := os.WriteFile(touched, []byte(a.Render()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return load()
+	}
+
+	// Body-only edit in alpha.
+	body, err := b.Build(rewrite(func(a *activity.Activity) {
+		a.Citations = append(a.Citations, "Federation invalidation probe.")
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(touched, append(body, []byte("\n- Federation invalidation probe.\n")...), 0o644); err != nil {
-		t.Fatal(err)
+	if st := b.LastStats(); st.CacheMisses != bodyEditMisses {
+		t.Errorf("body-only rebuild: misses=%d, want %d", st.CacheMisses, bodyEditMisses)
 	}
-	repo := load()
-	second, err := b.Build(repo)
+	for _, p := range []string{"sources/index.html", "sources/alpha/index.html", "sources/beta/index.html"} {
+		if !bytes.Equal(body.Pages[p], first.Pages[p]) {
+			t.Errorf("browse page %s changed across a body-only rebuild", p)
+		}
+	}
+
+	// Tag edit in alpha: alpha's browse page re-renders as well.
+	repo := rewrite(func(a *activity.Activity) {
+		a.Courses = append(a.Courses, "Outreach")
+	})
+	tagged, err := b.Build(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := b.LastStats()
-	want := touchOneMisses(repo, slugs[0]) + 2
-	if st.CacheMisses != want {
-		t.Errorf("one-source rebuild: misses=%d, want %d", st.CacheMisses, want)
+	want := headerEditMisses(repo, slugs[0]) + 1
+	if st.CacheMisses != want || st.CacheHits != st.Jobs-want {
+		t.Errorf("tag-edit rebuild: hits=%d misses=%d, want %d/%d", st.CacheHits, st.CacheMisses, st.Jobs-want, want)
 	}
-	if st.CacheHits != st.Jobs-want {
-		t.Errorf("one-source rebuild: hits=%d, want %d", st.CacheHits, st.Jobs-want)
+	for _, p := range []string{"sources/index.html", "sources/beta/index.html"} {
+		if !bytes.Equal(tagged.Pages[p], first.Pages[p]) {
+			t.Errorf("browse page %s changed across a tag edit in another source", p)
+		}
 	}
-	if !bytes.Equal(second.Pages["sources/beta/index.html"], first.Pages["sources/beta/index.html"]) {
-		t.Error("untouched source's browse page changed across incremental rebuild")
-	}
+	sameAsCold(t, tagged, repo)
 }
 
 // cacheFPs copies the builder's job fingerprints.
@@ -297,29 +379,12 @@ func cacheFPs(b *Builder) map[string]string {
 // of the edited corpus.
 func TestTouchOneRerendersOnlyItsTermPages(t *testing.T) {
 	const slug = "findsmallestcard"
-	retitled := func() *core.Repository {
-		repo := corpusRepo(t, nil)
-		acts := repo.All()
-		for i, a := range acts {
-			if a.Slug == slug {
-				edited := *a
-				edited.Title += " (revised)"
-				acts[i] = &edited
-			}
-		}
-		edited, err := core.New(acts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return edited
-	}
-
 	b := NewBuilder(Options{})
 	if _, err := b.Build(corpusRepo(t, nil)); err != nil {
 		t.Fatal(err)
 	}
 	before := cacheFPs(b)
-	repo := retitled()
+	repo := withEdit(t, slug, func(a *activity.Activity) { a.Title += " (revised)" })
 	incremental, err := b.Build(repo)
 	if err != nil {
 		t.Fatal(err)
@@ -336,22 +401,10 @@ func TestTouchOneRerendersOnlyItsTermPages(t *testing.T) {
 			t.Errorf("term job %s: re-rendered=%v, want %v", id, rerendered, wantTerms[id])
 		}
 	}
-	if st := b.LastStats(); st.CacheMisses != touchOneMisses(repo, slug) {
-		t.Errorf("misses=%d, want %d", st.CacheMisses, touchOneMisses(repo, slug))
+	if st := b.LastStats(); st.CacheMisses != headerEditMisses(repo, slug) {
+		t.Errorf("misses=%d, want %d", st.CacheMisses, headerEditMisses(repo, slug))
 	}
-
-	cold, err := NewBuilder(Options{}).Build(retitled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incremental.Len() != cold.Len() {
-		t.Fatalf("incremental build has %d pages, cold build %d", incremental.Len(), cold.Len())
-	}
-	for p, want := range cold.Pages {
-		if !bytes.Equal(incremental.Pages[p], want) {
-			t.Errorf("page %s differs from a cold build", p)
-		}
-	}
+	sameAsCold(t, incremental, repo)
 	a, _ := repo.Get(slug)
 	probe := "courses/" + taxonomy.Slug(a.Courses[0]) + "/index.html"
 	if !bytes.Contains(incremental.Pages[probe], []byte("(revised)")) {
@@ -397,5 +450,229 @@ func TestVanishedTermLosesItsPage(t *testing.T) {
 	}
 	if _, ok := b.cache[id]; ok {
 		t.Errorf("cache entry %s not pruned", id)
+	}
+}
+
+// TestHeaderKeysMatchColdBuild is the contract of the header keys. One
+// long-lived builder follows a seeded sequence of edits, each changing
+// one activity field, every field in turn, over repositories chained
+// with core.NewFrom as the engine chains them. After every step the
+// builder's pages must be byte-identical to a cold build of the same
+// activities. A body-only step must re-render exactly the edited
+// activity's two jobs. A header step (a field activity.HeaderFingerprint
+// covers) re-renders more; should the projection ever lose that field,
+// a listing page goes stale and the cold-build comparison fails.
+func TestHeaderKeysMatchColdBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	acts := curation.Activities()
+	// pick returns the index of a random activity for which ok holds.
+	pick := func(ok func(a *activity.Activity) bool) int {
+		start := rng.Intn(len(acts))
+		for n := range acts {
+			if i := (start + n) % len(acts); ok(acts[i]) {
+				return i
+			}
+		}
+		t.Fatal("no activity fits the edit")
+		return -1
+	}
+	every := func(*activity.Activity) bool { return true }
+	// edit replaces a picked activity with an edited copy.
+	edit := func(ok func(a *activity.Activity) bool, change func(a *activity.Activity)) {
+		i := pick(ok)
+		cp := *acts[i]
+		change(&cp)
+		acts[i] = &cp
+	}
+	// with returns xs plus v, never writing to xs's backing array.
+	with := func(xs []string, v string) []string { return append(xs[:len(xs):len(xs)], v) }
+	// toggle adds the first of known that xs lacks, or drops xs's last.
+	toggle := func(xs, known []string) []string {
+		for _, k := range known {
+			if !slices.Contains(xs, k) {
+				return with(xs, k)
+			}
+		}
+		return xs[:len(xs)-1]
+	}
+	// missingOutcome is an outcome term of a's first unit that has one
+	// a does not list yet.
+	missingOutcome := func(a *activity.Activity) string {
+		for _, term := range a.CS2013 {
+			u, _ := cs2013.ByTerm(term)
+			for _, o := range u.Outcomes {
+				if det := u.OutcomeTerm(o.Num); !slices.Contains(a.CS2013Details, det) {
+					return det
+				}
+			}
+		}
+		return ""
+	}
+	// missingTopic is the tcpp counterpart of missingOutcome.
+	missingTopic := func(a *activity.Activity) string {
+		for _, term := range a.TCPP {
+			ar, _ := tcpp.ByTerm(term)
+			for _, tp := range ar.Topics {
+				det := tp.Term()
+				if owner, _, err := tcpp.FindTopic(det); err == nil && owner.Term == term && !slices.Contains(a.TCPPDetails, det) {
+					return det
+				}
+			}
+		}
+		return ""
+	}
+	steps := []struct {
+		name   string
+		header bool
+		apply  func(step int)
+	}{
+		{"title", true, func(step int) {
+			edit(every, func(a *activity.Activity) { a.Title += fmt.Sprintf(" (revision %d)", step) })
+		}},
+		{"details", false, func(step int) {
+			edit(every, func(a *activity.Activity) {
+				a.Details += fmt.Sprintf("\n\nRevision %d adds a scatter gather round.", step)
+			})
+		}},
+		{"date", true, func(step int) {
+			edit(every, func(a *activity.Activity) { a.Date = fmt.Sprintf("2020-%02d-01", step%12+1) })
+		}},
+		{"variations", false, func(step int) {
+			edit(every, func(a *activity.Activity) {
+				a.Variations = with(a.Variations, fmt.Sprintf("Variation %d runs it in pairs.", step))
+			})
+		}},
+		{"author", true, func(step int) {
+			edit(every, func(a *activity.Activity) { a.Author += fmt.Sprintf(" and Reviser %d", step) })
+		}},
+		{"courses note", false, func(step int) {
+			edit(every, func(a *activity.Activity) {
+				a.CoursesNote = strings.TrimSpace(a.CoursesNote + fmt.Sprintf(" Revision %d fits a lab.", step))
+			})
+		}},
+		{"links", true, func(step int) {
+			edit(every, func(a *activity.Activity) {
+				a.Links = with(a.Links, fmt.Sprintf("https://example.org/handout-%d", step))
+			})
+		}},
+		{"accessibility", false, func(step int) {
+			edit(every, func(a *activity.Activity) {
+				a.Accessibility += fmt.Sprintf(" Revision %d adds large-print cards.", step)
+			})
+		}},
+		{"source", true, func(int) {
+			// The first step flips the unstamped corpus to a federated
+			// one, which moves the Sources link onto every page.
+			edit(every, func(a *activity.Activity) {
+				if a.Source == "alpha" {
+					a.Source = "beta"
+				} else {
+					a.Source = "alpha"
+				}
+			})
+		}},
+		{"assessment prose", false, func(step int) {
+			edit((*activity.Activity).HasAssessment, func(a *activity.Activity) {
+				a.Assessment += fmt.Sprintf(" Revision %d adds an exit ticket.", step)
+			})
+		}},
+		{"cs2013", true, func(int) {
+			edit(func(a *activity.Activity) bool { return len(a.CS2013) < len(cs2013.All()) }, func(a *activity.Activity) {
+				for _, term := range cs2013.Terms() {
+					if !slices.Contains(a.CS2013, term) {
+						a.CS2013 = with(a.CS2013, term)
+						return
+					}
+				}
+			})
+		}},
+		{"citations", false, func(step int) {
+			edit(every, func(a *activity.Activity) {
+				a.Citations = with(a.Citations, fmt.Sprintf("Reviser %d. Field notes. 2020.", step))
+			})
+		}},
+		{"tcpp", true, func(int) {
+			edit(func(a *activity.Activity) bool { return len(a.TCPP) < len(tcpp.All()) }, func(a *activity.Activity) {
+				for _, term := range tcpp.Terms() {
+					if !slices.Contains(a.TCPP, term) {
+						a.TCPP = with(a.TCPP, term)
+						return
+					}
+				}
+			})
+		}},
+		{"courses", true, func(int) {
+			edit(func(a *activity.Activity) bool { return len(a.Courses) > 0 }, func(a *activity.Activity) {
+				a.Courses = toggle(a.Courses, activity.KnownCourses)
+			})
+		}},
+		{"senses", true, func(int) {
+			edit(func(a *activity.Activity) bool { return len(a.Senses) > 0 }, func(a *activity.Activity) {
+				a.Senses = toggle(a.Senses, activity.KnownSenses)
+			})
+		}},
+		{"cs2013details", true, func(int) {
+			edit(func(a *activity.Activity) bool { return missingOutcome(a) != "" }, func(a *activity.Activity) {
+				a.CS2013Details = with(a.CS2013Details, missingOutcome(a))
+			})
+		}},
+		{"tcppdetails", true, func(int) {
+			edit(func(a *activity.Activity) bool { return missingTopic(a) != "" }, func(a *activity.Activity) {
+				a.TCPPDetails = with(a.TCPPDetails, missingTopic(a))
+			})
+		}},
+		{"medium", true, func(int) {
+			edit(func(a *activity.Activity) bool { return len(a.Medium) > 0 }, func(a *activity.Activity) {
+				a.Medium = toggle(a.Medium, activity.KnownMediums)
+			})
+		}},
+		{"assessment flip", true, func(step int) {
+			edit(every, func(a *activity.Activity) {
+				if a.HasAssessment() {
+					a.Assessment = "None known."
+				} else {
+					a.Assessment = fmt.Sprintf("Revision %d: a pre/post quiz on the sorting network.", step)
+				}
+			})
+		}},
+		{"slug", true, func(step int) {
+			edit(every, func(a *activity.Activity) { a.Slug += fmt.Sprintf("-r%d", step) })
+		}},
+	}
+
+	b := NewBuilder(Options{})
+	repo, err := core.New(acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Build(repo); err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= 2*len(steps); step++ {
+		s := steps[(step-1)%len(steps)]
+		s.apply(step)
+		next, err := core.NewFrom(repo, acts)
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", step, s.name, err)
+		}
+		repo = next
+		site, err := b.Build(repo)
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", step, s.name, err)
+		}
+		misses := b.LastStats().CacheMisses
+		if !s.header && misses != bodyEditMisses {
+			t.Errorf("step %d (%s): body-only edit re-rendered %d jobs, want %d", step, s.name, misses, bodyEditMisses)
+		}
+		if s.header && misses <= bodyEditMisses {
+			t.Errorf("step %d (%s): header edit re-rendered %d jobs, want more than %d", step, s.name, misses, bodyEditMisses)
+		}
+		cold, err := core.New(acts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sameAsCold(t, site, cold); t.Failed() {
+			t.Fatalf("step %d (%s): incremental build differs from a cold build", step, s.name)
+		}
 	}
 }

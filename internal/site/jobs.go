@@ -44,19 +44,40 @@ func fingerprint(parts ...string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// planJobs lays out the page graph for one repository. Activity-scoped
-// jobs (the activity page and its assessment sheet) are fingerprinted by
-// that activity alone, so touching one source file invalidates exactly
-// two jobs; each taxonomy term page keys on its members, so the edit
-// re-renders only the term pages that list the activity (or stop or
-// start listing it); the remaining repository-scoped jobs (index, views,
-// API, dramatizations) list or aggregate every activity and therefore
-// key on the whole-repository fingerprint.
-func planJobs(repo *core.Repository) []job {
+// planJobs lays out the page graph for one repository. Each job keys on
+// exactly what its render reads:
+//   - the activity page and assessment sheet read the whole activity, so
+//     they key on its full fingerprint;
+//   - listing pages read only activity headers (title, date, author,
+//     source, tags, links, whether assessed; see
+//     activity.HeaderFingerprint). A term or source page keys on its
+//     members' header fingerprints; the index, the four views, the API
+//     export and the dramatizations page on the fold of every header
+//     (Repository.HeaderFingerprint);
+//   - the sources overview keys on each source's name and count.
+//
+// A body-only edit therefore re-renders the edited activity's two jobs
+// and nothing else; a header edit also re-renders the term and source
+// pages listing the activity and the seven whole-collection jobs. Every
+// page shows the Sources nav link only in a federated corpus, so every
+// key but static's also covers that flag.
+//
+// planJobs also returns the term and source pages' keys, for the next
+// plan: given them as prev, it reuses them when the repository's header
+// fingerprint is the one they were computed for. Then every listing
+// page has the same members with the same headers, so its key is the
+// same, and a body-only edit rehashes none of them.
+func planJobs(repo *core.Repository, prev *listingKeys) ([]job, *listingKeys) {
 	jobs := make([]job, 0, 2*repo.Len()+9)
+	hasSources := strconv.FormatBool(len(repo.Sources()) > 0)
+	keys := &listingKeys{hdr: repo.HeaderFingerprint(), byID: map[string]string{}}
+	var carried map[string]string
+	if prev != nil && prev.hdr == keys.hdr {
+		carried = prev.byID
+	}
 	for _, a := range repo.All() {
 		a := a
-		actFP := fingerprint(engineVersion, markdown.EngineVersion, repo.ActivityFingerprint(a.Slug))
+		actFP := fingerprint(engineVersion, markdown.EngineVersion, hasSources, repo.ActivityFingerprint(a.Slug))
 		jobs = append(jobs,
 			job{id: "activity/" + a.Slug, stage: "activity", fp: actFP,
 				render: func(rn *renderer) error { return rn.buildActivity(a) }},
@@ -64,23 +85,34 @@ func planJobs(repo *core.Repository) []job {
 				render: func(rn *renderer) error { return rn.buildAssessmentPage(a) }},
 		)
 	}
+	// listing keys the page id, which lists slugs, on their header
+	// fingerprints after the parts naming the page.
+	listing := func(id string, slugs []string, parts ...string) string {
+		key, ok := carried[id]
+		if !ok {
+			parts = append(append(make([]string, 0, len(parts)+3+2*len(slugs)),
+				engineVersion, markdown.EngineVersion, hasSources), parts...)
+			for _, slug := range slugs {
+				parts = append(parts, slug, repo.ActivityHeaderFingerprint(slug))
+			}
+			key = fingerprint(parts...)
+		}
+		keys.byID[id] = key
+		return key
+	}
 	// Per-source browse pages exist only for federated (source-stamped)
-	// corpora. Each keys on its own source fingerprint, so touching one
-	// source's activities re-renders that source's page but leaves every
-	// other source's page cached; the overview aggregates all sources and
-	// keys on all of their fingerprints.
+	// corpora.
 	if sources := repo.Sources(); len(sources) > 0 {
 		overviewParts := []string{engineVersion, markdown.EngineVersion, "sources-overview"}
 		for _, src := range sources {
-			src := src
-			srcFP := repo.SourceFingerprint(src)
+			src, id := src, "source/"+src
 			jobs = append(jobs, job{
-				id:     "source/" + src,
+				id:     id,
 				stage:  "source",
-				fp:     fingerprint(engineVersion, markdown.EngineVersion, srcFP),
+				fp:     listing(id, repo.BySource(src), "source", src),
 				render: func(rn *renderer) error { return rn.buildSourcePage(src) },
 			})
-			overviewParts = append(overviewParts, srcFP)
+			overviewParts = append(overviewParts, src, strconv.Itoa(repo.SourceLen(src)))
 		}
 		jobs = append(jobs, job{
 			id:     "sources",
@@ -89,34 +121,25 @@ func planJobs(repo *core.Repository) []job {
 			render: (*renderer).buildSourcesPage,
 		})
 	}
-	// A term page lists its members' titles and material flags under a
-	// header that links the Sources page only in federated corpora, so
-	// its fingerprint covers the term, that flag, and every member's
-	// slug and activity fingerprint. Jobs follow taxonomy and term order,
-	// so two terms sharing a page path resolve as they always have.
-	hasSources := strconv.FormatBool(len(repo.Sources()) > 0)
+	// Jobs follow taxonomy and term order, so two terms sharing a page
+	// path resolve as they always have.
 	for _, def := range taxonomy.Standard() {
 		def := def
 		for _, page := range repo.Index().Pages(def.Name) {
-			page := page
-			parts := make([]string, 0, 7+2*len(page.Entries))
-			parts = append(parts, engineVersion, markdown.EngineVersion, "term", def.Name, def.Title, page.Term, hasSources)
-			for _, slug := range page.Entries {
-				parts = append(parts, slug, repo.ActivityFingerprint(slug))
-			}
+			page, id := page, "terms/"+def.Name+"/"+page.Term
 			jobs = append(jobs, job{
-				id:     "terms/" + def.Name + "/" + page.Term,
+				id:     id,
 				stage:  "terms",
-				fp:     fingerprint(parts...),
+				fp:     listing(id, page.Entries, "term", def.Name, def.Title, page.Term),
 				render: func(rn *renderer) error { return rn.buildTermPage(def, page) },
 			})
 		}
 	}
-	repoFP := fingerprint(engineVersion, markdown.EngineVersion, repo.Fingerprint())
+	repoFP := fingerprint(engineVersion, markdown.EngineVersion, repo.HeaderFingerprint())
 	repoJob := func(id, stage string, render func(*renderer) error) job {
 		return job{id: id, stage: stage, fp: repoFP, render: render}
 	}
-	return append(jobs,
+	jobs = append(jobs,
 		repoJob("index", "index", (*renderer).buildIndex),
 		repoJob("view/cs2013", "view", (*renderer).buildCS2013View),
 		repoJob("view/tcpp", "view", (*renderer).buildTCPPView),
@@ -130,4 +153,13 @@ func planJobs(repo *core.Repository) []job {
 				return nil
 			}},
 	)
+	return jobs, keys
+}
+
+// listingKeys are one plan's term and source page keys, by job id, and
+// the repository header fingerprint they were computed for. planJobs
+// never writes to the keys it is given.
+type listingKeys struct {
+	hdr  string
+	byID map[string]string
 }

@@ -196,7 +196,7 @@ func (rn *renderer) buildSourcesPage() error {
 	body.WriteString("<p>This site federates the following corpus sources.</p>\n<ul>\n")
 	for _, src := range rn.repo.Sources() {
 		fmt.Fprintf(&body, "<li><a href=\"/sources/%s/\">%s</a> — %d activities</li>\n",
-			src, markdown.Escape(src), len(rn.repo.BySource(src)))
+			src, markdown.Escape(src), rn.repo.SourceLen(src))
 	}
 	body.WriteString("</ul>\n")
 	return rn.renderPage("sources/index.html", "Corpus Sources", nil, body.String())
