@@ -30,11 +30,8 @@ import (
 // concurrent readers.
 type Repository struct {
 	activities map[string]*activity.Activity
-	order      []string // sorted slugs
+	order      []string // sorted slugs; a slug's position is its doc ID in index
 	index      *taxonomy.Index
-
-	sources  []string            // sorted non-empty source names
-	bySource map[string][]string // source name -> sorted slugs
 
 	fpOnce sync.Once
 	fp     string
@@ -48,8 +45,15 @@ type Repository struct {
 	hdrFP   map[string]string // slug -> header fingerprint: carried ones from NewFrom, the rest filled under hdrOnce
 }
 
+// sourceDef is the hidden provenance dimension the repository indexes
+// next to the standard taxonomies: an activity's one term is its corpus
+// source. It backs the per-source listings and the API's source facet,
+// and no term pages are rendered for it.
+var sourceDef = taxonomy.Def{Name: "source", Title: "Source", Hidden: true}
+
 // New builds a repository from parsed activities, validating each one and
-// indexing all six taxonomies. All validation errors are reported together.
+// indexing the standard taxonomies plus source. All validation errors
+// are reported together.
 func New(acts []*activity.Activity) (*Repository, error) { return NewFrom(nil, acts) }
 
 // NewFrom is New for the next generation of prev. Activities are
@@ -82,7 +86,6 @@ func NewFrom(prev *Repository, acts []*activity.Activity) (*Repository, error) {
 			problems = append(problems, err.Error())
 		}
 		r.activities[a.Slug] = a
-		r.order = append(r.order, a.Slug)
 		if prev != nil && prev.activities[a.Slug] == a {
 			r.actFP[a.Slug] = prev.ActivityFingerprint(a.Slug)
 			if prev.hdrDone.Load() {
@@ -94,24 +97,14 @@ func NewFrom(prev *Repository, acts []*activity.Activity) (*Repository, error) {
 	if len(problems) > 0 {
 		return nil, fmt.Errorf("repository: %d problems:\n  %s", len(problems), strings.Join(problems, "\n  "))
 	}
-	sort.Strings(r.order)
-	r.bySource = map[string][]string{}
-	for _, slug := range r.order {
-		if src := r.activities[slug].Source; src != "" {
-			r.bySource[src] = append(r.bySource[src], slug)
-		}
-	}
-	for src := range r.bySource {
-		r.sources = append(r.sources, src)
-	}
-	sort.Strings(r.sources)
 	_, ixSpan := obs.StartSpan(context.Background(), "repo.index")
-	ix, err := taxonomy.Build(taxonomy.Standard(), entries)
+	ix, err := taxonomy.Build(append(taxonomy.Standard(), sourceDef), entries)
 	ixSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
 	}
 	r.index = ix
+	r.order = ix.Keys()
 	return r, nil
 }
 
@@ -184,7 +177,9 @@ func (r *Repository) All() []*activity.Activity {
 	return out
 }
 
-// Index exposes the taxonomy index for view construction and analytics.
+// Index exposes the term index: the standard taxonomies plus the hidden
+// source dimension, with doc IDs in slug order. Views, analytics, term
+// pages and the query API's facets all read it.
 func (r *Repository) Index() *taxonomy.Index { return r.index }
 
 // Fingerprint returns a content hash over every activity in slug order.
@@ -293,16 +288,18 @@ func (r *Repository) headers() {
 // Sources returns the distinct non-empty source names present in the
 // repository, sorted. A legacy single-corpus repository (no provenance
 // stamped) returns nil.
-func (r *Repository) Sources() []string { return append([]string(nil), r.sources...) }
+func (r *Repository) Sources() []string {
+	return append([]string(nil), r.index.SharedTerms(sourceDef.Name)...)
+}
 
 // BySource returns the slugs contributed by one source, sorted.
 func (r *Repository) BySource(source string) []string {
-	return append([]string(nil), r.bySource[source]...)
+	return r.index.EntriesFor(sourceDef.Name, source)
 }
 
 // SourceLen returns how many activities one source contributes, without
 // copying its slug list.
-func (r *Repository) SourceLen(source string) int { return len(r.bySource[source]) }
+func (r *Repository) SourceLen(source string) int { return r.index.Count(sourceDef.Name, source) }
 
 func sourceLabel(a *activity.Activity) string {
 	if a.Source == "" {

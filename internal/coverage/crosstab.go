@@ -1,10 +1,6 @@
 package coverage
 
-import (
-	"sort"
-
-	"pdcunplugged/internal/core"
-)
+import "pdcunplugged/internal/core"
 
 // CrossTab counts activities at each (medium, sense) combination — the
 // Section III-D interplay the accessibility view exposes (analogies are
@@ -26,7 +22,9 @@ func (ct *CrossTab) Cell(medium, sense string) int {
 	return 0
 }
 
-// MediumSenseCrossTab computes the medium x sense activity matrix.
+// MediumSenseCrossTab computes the medium x sense activity matrix. Each
+// cell is the popcount of the intersection of the two terms' bitsets in
+// the repository's term index.
 func MediumSenseCrossTab(r *core.Repository) *CrossTab {
 	ix := r.Index()
 	ct := &CrossTab{Counts: map[string]map[string]int{}}
@@ -34,21 +32,12 @@ func MediumSenseCrossTab(r *core.Repository) *CrossTab {
 		ct.Mediums = append(ct.Mediums, c.Term)
 	}
 	ct.Senses = ix.Terms("senses")
-	sort.Strings(ct.Senses)
 	for _, medium := range ct.Mediums {
-		row := map[string]int{}
+		mediumDocs, _ := ix.Docs("medium", medium)
+		row := make(map[string]int, len(ct.Senses))
 		for _, sense := range ct.Senses {
-			both := ix.WithAll("medium", medium)
-			n := 0
-			for _, slug := range both {
-				for _, s := range ix.EntriesFor("senses", sense) {
-					if s == slug {
-						n++
-						break
-					}
-				}
-			}
-			row[sense] = n
+			senseDocs, _ := ix.Docs("senses", sense)
+			row[sense] = mediumDocs.AndCount(senseDocs)
 		}
 		ct.Counts[medium] = row
 	}

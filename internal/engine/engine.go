@@ -361,7 +361,7 @@ func (e *Engine) publishLocked(g *Generation) {
 		"pages", g.Site.Len(), "activities", g.Repo.Len(),
 		"index_vocab", g.IndexStats.Vocabulary,
 		"index_postings", g.IndexStats.Postings,
-		"index_bytes", g.IndexStats.PostingsBytes+g.IndexStats.BitsetBytes)
+		"index_bytes", g.IndexStats.PostingsBytes)
 }
 
 // Query returns the engine's query service. It reads snapshots straight

@@ -545,13 +545,13 @@ func parseActivities(v url.Values) (string, renderFn, error) {
 	return key, func(snap *Snapshot) any { return Activities(snap, filters) }, nil
 }
 
-// Activities ANDs the precomputed facet bitsets of every requested
-// facet, then summarizes the surviving activities in slug order (doc-ID
-// order IS slug order in the search index, so no sort happens). It is
+// Activities ANDs the repository's term bitsets of every requested
+// facet, then summarizes the surviving activities in slug order (the
+// term index assigns doc IDs in slug order, so no sort happens). It is
 // the single implementation behind /api/v1/activities (and the
 // filtered-path benchmarks that gate it).
 func Activities(snap *Snapshot, filters map[string]string) *ActivitiesResponse {
-	ix := snap.Index
+	ix := snap.Repo.Index()
 	docs := ix.AllDocs() // shared index state; cloned before the first AND
 	cloned := false
 	for _, fp := range facetParams {
@@ -559,7 +559,7 @@ func Activities(snap *Snapshot, filters map[string]string) *ActivitiesResponse {
 		if !ok {
 			continue
 		}
-		bs, ok := ix.FacetBitset(fp.taxonomy, term)
+		bs, ok := ix.Docs(fp.taxonomy, term)
 		if !ok {
 			docs = nil // unknown term: nothing matches
 			break
@@ -580,7 +580,7 @@ func Activities(snap *Snapshot, filters map[string]string) *ActivitiesResponse {
 		resp.Filters = filters
 	}
 	docs.ForEach(func(id uint32) {
-		a, ok := snap.Repo.Get(ix.SlugOf(id))
+		a, ok := snap.Repo.Get(ix.KeyOf(id))
 		if !ok {
 			return
 		}
@@ -619,19 +619,19 @@ func parseFacets(v url.Values) (string, renderFn, error) {
 
 // Facets counts every in-use term per facet against one snapshot; the
 // single implementation behind /api/v1/facets. Counts are popcounts of
-// the search index's precomputed facet bitsets.
+// the repository's term bitsets.
 func Facets(snap *Snapshot) *FacetsResponse {
-	ix := snap.Index
+	ix := snap.Repo.Index()
 	resp := &FacetsResponse{
 		Generation: snap.Generation,
 		Activities: snap.Repo.Len(),
 		Facets:     make(map[string]map[string]int, len(facetParams)),
 	}
 	for _, fp := range facetParams {
-		terms := ix.FacetTerms(fp.taxonomy)
+		terms := ix.SharedTerms(fp.taxonomy)
 		counts := make(map[string]int, len(terms))
 		for _, term := range terms {
-			counts[term] = ix.FacetCount(fp.taxonomy, term)
+			counts[term] = ix.Count(fp.taxonomy, term)
 		}
 		resp.Facets[fp.param] = counts
 	}

@@ -3,11 +3,11 @@ package replica
 import "testing"
 
 // FuzzSnapshotDecode drives the full decode path — envelope framing,
-// CRC checks, gob corpus, site pages, index slabs — with arbitrary
-// bytes. The contract is narrow and absolute: Decode either returns a
-// verified generation or an error; it never panics, never over-reads,
-// and never allocates proportionally to a length field a corrupt header
-// merely claims.
+// CRC checks, gob corpus and the term index core.New derives from it,
+// site pages, search posting slabs — with arbitrary bytes. The contract
+// is narrow and absolute: Decode either returns a verified generation
+// or an error; it never panics, never over-reads, and never allocates
+// proportionally to a length field a corrupt header merely claims.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -30,6 +30,5 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err == nil && gen == nil {
 			t.Fatal("Decode returned neither a generation nor an error")
 		}
-		DecodeMeta(data)
 	})
 }

@@ -50,7 +50,6 @@ func SetRole(role string) {
 type encodedSnapshot struct {
 	seq  uint64
 	id   string
-	fp   string
 	etag string
 	data []byte
 }
@@ -67,9 +66,9 @@ type followerState struct {
 
 // Leader serves the current generation to followers under /replica/v1/
 // and coordinates the fleet: /snapshot streams the encoded generation
-// (strong ETag, If-None-Match, long-poll via ?wait_seq=N&timeout=30s),
-// /seq answers the cheap "what would I get" probe with the same
-// long-poll semantics, and /fleet tracks follower heartbeats so one
+// (strong ETag, If-None-Match, long-poll via ?wait_seq=N&timeout=30s;
+// a HEAD answers the cheap "what would I get" probe through its
+// Pdcu-Seq header), and /fleet tracks follower heartbeats so one
 // endpoint answers how far behind every replica is.
 type Leader struct {
 	mu     sync.Mutex
@@ -116,7 +115,6 @@ func (l *Leader) snapshot() (*encodedSnapshot, error) {
 	e := &encodedSnapshot{
 		seq:  g.Seq,
 		id:   g.ID,
-		fp:   g.Fingerprint,
 		etag: `"` + g.ID + "-" + strconv.FormatUint(g.Seq, 10) + `"`,
 		data: data,
 	}
@@ -185,37 +183,9 @@ func longPollParams(r *http.Request) (after uint64, timeout time.Duration, ok bo
 // command onto the engine's mux.
 func (l *Leader) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/replica/v1/seq", l.handleSeq)
 	mux.HandleFunc("/replica/v1/snapshot", l.handleSnapshot)
 	mux.HandleFunc("/replica/v1/fleet", l.handleFleet)
 	return mux
-}
-
-func (l *Leader) handleSeq(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", "GET")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	after, timeout, ok := longPollParams(r)
-	if !ok {
-		http.Error(w, "bad wait_seq/timeout", http.StatusBadRequest)
-		return
-	}
-	l.wait(r, after, timeout)
-	l.mu.Lock()
-	g := l.gen
-	l.mu.Unlock()
-	if g == nil {
-		http.Error(w, "no generation published yet", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"seq":         g.Seq,
-		"generation":  g.ID,
-		"fingerprint": g.Fingerprint,
-	})
 }
 
 func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -251,33 +251,6 @@ func Decode(data []byte) (*engine.Generation, error) {
 	}), nil
 }
 
-// DecodeMeta reads only the identity section of a snapshot — enough for
-// a node to report what it has on disk (or decline a stale fetch)
-// without paying for corpus validation.
-func DecodeMeta(data []byte) (seq uint64, id, fingerprint string, err error) {
-	r := &envReader{buf: data}
-	if got := string(r.bytes(len(magic))); r.err == nil {
-		if err := checkMagic(got); err != nil {
-			return 0, "", "", err
-		}
-	}
-	name := r.str()
-	n := int(r.u32())
-	sum := r.u32()
-	payload := r.bytes(n)
-	if r.err != nil {
-		return 0, "", "", r.err
-	}
-	if name != "meta" || crc32.ChecksumIEEE(payload) != sum {
-		return 0, "", "", fmt.Errorf("replica: corrupt meta section")
-	}
-	var m meta
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return 0, "", "", fmt.Errorf("replica: decode meta: %w", err)
-	}
-	return m.Seq, m.ID, m.Fingerprint, nil
-}
-
 // equalStrings compares two source lists element-wise (both are sorted
 // by construction; nil and empty compare equal).
 func equalStrings(a, b []string) bool {

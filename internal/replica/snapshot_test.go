@@ -128,24 +128,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeMeta(t *testing.T) {
-	gen := buildGen(t, corpusDir(t, 2))
-	data, err := Encode(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, id, fp, err := DecodeMeta(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != gen.Seq || id != gen.ID || fp != gen.Fingerprint {
-		t.Errorf("DecodeMeta = (%d, %q, %.16s), want (%d, %q, %.16s)", seq, id, fp, gen.Seq, gen.ID, gen.Fingerprint)
-	}
-	if _, _, _, err := DecodeMeta([]byte("not a snapshot")); err == nil {
-		t.Error("DecodeMeta accepted garbage")
-	}
-}
-
 // TestDecodeRejectsTruncation feeds every short prefix (exhaustively
 // near the frame boundaries, sampled through the bulk) to Decode; all
 // must fail cleanly — no panic, no partially-adopted generation.
@@ -231,9 +213,6 @@ func TestDecodeRejectsPreFederationMagic(t *testing.T) {
 	copy(data, magicV1)
 	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "predates corpus federation") {
 		t.Errorf("Decode(v1) err = %v, want the federation upgrade error", err)
-	}
-	if _, _, _, err := DecodeMeta(data); err == nil || !strings.Contains(err.Error(), "predates corpus federation") {
-		t.Errorf("DecodeMeta(v1) err = %v, want the federation upgrade error", err)
 	}
 }
 

@@ -1,15 +1,11 @@
 package search
 
-// Tests for the search/3-only surfaces: fuzzy search, facet bitsets
-// (checked against the taxonomy package's inverted index as oracle),
-// and index stats.
+// Tests for the search/3-only surfaces: fuzzy search, pre-tokenized
+// search, scratch reuse and index stats.
 
 import (
 	"reflect"
 	"testing"
-
-	"pdcunplugged/internal/curation"
-	"pdcunplugged/internal/taxonomy"
 )
 
 func TestSearchFuzzyCorrectsTypos(t *testing.T) {
@@ -84,80 +80,13 @@ func TestSearchFuzzyMissStaysMiss(t *testing.T) {
 	}
 }
 
-func TestFacetBitsetsMatchTaxonomyIndex(t *testing.T) {
-	acts := curation.Activities()
-	ix := Build(acts)
-	entries := make([]taxonomy.Entry, len(acts))
-	for i, a := range acts {
-		entries[i] = a
-	}
-	tax, err := taxonomy.Build(taxonomy.Standard(), entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, def := range taxonomy.Standard() {
-		wantTerms := tax.Terms(def.Name)
-		gotTerms := ix.FacetTerms(def.Name)
-		if !reflect.DeepEqual(gotTerms, wantTerms) {
-			t.Errorf("%s terms = %v, taxonomy index %v", def.Name, gotTerms, wantTerms)
-			continue
-		}
-		for _, term := range wantTerms {
-			if got, want := ix.FacetCount(def.Name, term), tax.Count(def.Name, term); got != want {
-				t.Errorf("%s/%s count = %d, want %d", def.Name, term, got, want)
-			}
-			bs, ok := ix.FacetBitset(def.Name, term)
-			if !ok {
-				t.Errorf("%s/%s has no bitset", def.Name, term)
-				continue
-			}
-			var slugs []string
-			bs.ForEach(func(id uint32) { slugs = append(slugs, ix.SlugOf(id)) })
-			if want := tax.EntriesFor(def.Name, term); !reflect.DeepEqual(slugs, want) {
-				t.Errorf("%s/%s docs = %v, want %v", def.Name, term, slugs, want)
-			}
-		}
-	}
-	if _, ok := ix.FacetBitset("courses", "NoSuchCourse"); ok {
-		t.Error("unknown term produced a bitset")
-	}
-	if _, ok := ix.FacetBitset("nosuchtaxonomy", "CS1"); ok {
-		t.Error("unknown taxonomy produced a bitset")
-	}
-	if n := ix.FacetCount("courses", "NoSuchCourse"); n != 0 {
-		t.Errorf("unknown term count = %d", n)
-	}
-}
-
-func TestAllDocsCoversCorpus(t *testing.T) {
-	ix := corpusIndex(t)
-	all := ix.AllDocs()
-	if all.Count() != ix.Len() {
-		t.Errorf("AllDocs covers %d of %d docs", all.Count(), ix.Len())
-	}
-	var slugs []string
-	all.ForEach(func(id uint32) { slugs = append(slugs, ix.SlugOf(id)) })
-	if !sortedStrings(slugs) {
-		t.Error("AllDocs iteration is not slug-sorted")
-	}
-}
-
-func sortedStrings(s []string) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestIndexStats(t *testing.T) {
 	ix := corpusIndex(t)
 	st := ix.Stats()
 	if st.Docs != ix.Len() || st.Vocabulary != ix.Vocabulary() {
 		t.Errorf("stats shape: %+v", st)
 	}
-	if st.Postings <= 0 || st.PostingsBytes <= 0 || st.BitsetBytes <= 0 {
+	if st.Postings <= 0 || st.PostingsBytes <= 0 {
 		t.Errorf("stats sizes not positive: %+v", st)
 	}
 	if st.BuildSeconds <= 0 {

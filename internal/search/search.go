@@ -9,9 +9,6 @@
 //     matching are binary-search range scans over the sorted terms.
 //   - postings.go — slab postings: each term's (doc ID, weighted tf)
 //     list is a contiguous span of two shared flat arrays.
-//   - bitset.go — precomputed per-taxonomy-term doc bitsets, making a
-//     faceted listing a run of AND instructions and a facet count a
-//     popcount.
 //   - score.go — the pooled scoring workspace: dense accumulator,
 //     touched-list reset, and a bounded heap for top-k selection, so a
 //     steady-state query allocates only the hits it returns.
@@ -23,8 +20,10 @@
 // that came and went rather than sorting it again.
 //
 // Doc IDs are assigned in slug order, which makes doc-ID order the
-// repository's canonical ordering: tie-breaks and bitset iteration need
-// no string comparisons. Ranking is unchanged from engine search/2 —
+// repository's canonical ordering: tie-breaks need no string
+// comparisons. The index holds text retrieval only; which activities
+// carry a taxonomy term is the repository's term index
+// (core.Repository.Index). Ranking is unchanged from engine search/2 —
 // the same tokenizer, weights, idf, and norms produce bit-identical
 // scores (weighted tfs are small integers, so every sum here is exact
 // in float64 regardless of accumulation order).
@@ -41,7 +40,6 @@ import (
 
 	"pdcunplugged/internal/activity"
 	"pdcunplugged/internal/obs"
-	"pdcunplugged/internal/taxonomy"
 )
 
 // EngineVersion names the tokenizer/index implementation revision. The
@@ -70,24 +68,7 @@ type Index struct {
 	norms    []float64 // doc ID -> Euclidean norm of the weighted tf vector
 	dict     dict      // sorted term dictionary
 	post     postings  // slab posting lists, indexed by term ID
-	facets   map[string]facet
-	all      Bitset // every document; clone-and-AND filter seed
 	stats    IndexStats
-}
-
-// facet holds one taxonomy's precomputed term bitsets, terms sorted.
-type facet struct {
-	terms []string
-	sets  []Bitset
-}
-
-// lookup returns the bitset for an exact term, or nil.
-func (f facet) lookup(term string) Bitset {
-	i := sort.SearchStrings(f.terms, term)
-	if i < len(f.terms) && f.terms[i] == term {
-		return f.sets[i]
-	}
-	return nil
 }
 
 // IndexStats describes a built index's shape and cost; exported on the
@@ -97,7 +78,6 @@ type IndexStats struct {
 	Vocabulary    int     `json:"vocabulary"`
 	Postings      int     `json:"postings"`      // total (term, doc) pairs
 	PostingsBytes int     `json:"postingsBytes"` // dict offsets + id/tf slabs
-	BitsetBytes   int     `json:"bitsetBytes"`   // all facet bitsets + the all-docs set
 	BuildSeconds  float64 `json:"buildSeconds"`
 }
 
@@ -165,8 +145,6 @@ var (
 		"Distinct terms in the most recently built search index.")
 	indexPostingsBytesGauge = obs.Default().Gauge("pdcu_search_index_postings_bytes",
 		"Bytes held by the posting slabs of the most recently built search index.")
-	indexBitsetBytesGauge = obs.Default().Gauge("pdcu_search_index_bitset_bytes",
-		"Bytes held by the facet bitsets of the most recently built search index.")
 	indexBuildSecondsGauge = obs.Default().Gauge("pdcu_search_index_build_seconds",
 		"Wall-clock duration of the most recent search index build.")
 )
@@ -224,10 +202,10 @@ func vectorize(a *activity.Activity) *termVector {
 // edit tokenizes only the edited document. It also keeps the latest
 // build's vocabulary, which the next build patches with the terms the
 // edit added and the terms no document uses any more instead of
-// interning and sorting every term again. The postings, norms and facet
-// bitsets are still assembled from every vector. The memo keeps only
-// the latest build's keys, so it is bounded by the corpus size. A
-// Builder is safe for concurrent use.
+// interning and sorting every term again. The postings and norms are
+// still assembled from every vector. The memo keeps only the latest
+// build's keys, so it is bounded by the corpus size. A Builder is safe
+// for concurrent use.
 type Builder struct {
 	mu   sync.Mutex
 	memo map[string]*termVector // content key -> term vector
@@ -278,11 +256,10 @@ func Build(acts []*activity.Activity) *Index {
 }
 
 // build assembles an index from the documents' term vectors: intern the
-// vocabulary (or patch prev's, when given), lay the posting lists out as
-// slabs in doc-ID order, and precompute one doc bitset per in-use
-// taxonomy term. vector supplies each document's term vector, tokenizing
-// it or recalling it. It returns the vocabulary with the index, for the
-// next build to patch.
+// vocabulary (or patch prev's, when given) and lay the posting lists out
+// as slabs in doc-ID order. vector supplies each document's term vector,
+// tokenizing it or recalling it. It returns the vocabulary with the
+// index, for the next build to patch.
 func build(acts []*activity.Activity, prev *vocabulary, vector func(*activity.Activity) *termVector) (*Index, *vocabulary) {
 	buildCalls.Add(1)
 	start := time.Now()
@@ -310,7 +287,6 @@ func build(acts []*activity.Activity, prev *vocabulary, vector func(*activity.Ac
 		slugs:    make([]string, n),
 		norms:    make([]float64, n),
 		dict:     dict{terms: voc.terms},
-		all:      fillBitset(n),
 	}
 	for d, a := range sorted {
 		ix.slugs[d] = a.Slug
@@ -340,56 +316,16 @@ func build(acts []*activity.Activity, prev *vocabulary, vector func(*activity.Ac
 	}
 	ix.post = postings{offsets: offsets, ids: ids, tfs: tfs}
 
-	// Pass 3: facet bitsets for every standard taxonomy term in use,
-	// plus the corpus-source provenance dimension. Source is a facet
-	// only — never tokenized into postings — so federating sources
-	// cannot perturb ranking (the search/2 parity contract).
-	facetDims := make([]string, 0, len(taxonomy.Standard())+1)
-	for _, def := range taxonomy.Standard() {
-		facetDims = append(facetDims, def.Name)
-	}
-	facetDims = append(facetDims, "source")
-	ix.facets = make(map[string]facet)
-	bitsetBytes := ix.all.Bytes()
-	for _, dim := range facetDims {
-		byTerm := map[string]Bitset{}
-		for d, a := range sorted {
-			for _, term := range a.Terms(dim) {
-				bs := byTerm[term]
-				if bs == nil {
-					bs = NewBitset(n)
-					byTerm[term] = bs
-				}
-				bs.Set(uint32(d))
-			}
-		}
-		f := facet{
-			terms: make([]string, 0, len(byTerm)),
-			sets:  make([]Bitset, 0, len(byTerm)),
-		}
-		for term := range byTerm {
-			f.terms = append(f.terms, term)
-		}
-		sort.Strings(f.terms)
-		for _, term := range f.terms {
-			f.sets = append(f.sets, byTerm[term])
-			bitsetBytes += byTerm[term].Bytes()
-		}
-		ix.facets[dim] = f
-	}
-
 	ix.stats = IndexStats{
 		Docs:          n,
 		Vocabulary:    ix.dict.len_(),
 		Postings:      ix.post.count(),
 		PostingsBytes: ix.post.bytes(),
-		BitsetBytes:   bitsetBytes,
 		BuildSeconds:  time.Since(start).Seconds(),
 	}
 	indexDocsGauge.Set(float64(ix.stats.Docs))
 	indexVocabGauge.Set(float64(ix.stats.Vocabulary))
 	indexPostingsBytesGauge.Set(float64(ix.stats.PostingsBytes))
-	indexBitsetBytesGauge.Set(float64(ix.stats.BitsetBytes))
 	indexBuildSecondsGauge.Set(ix.stats.BuildSeconds)
 	return ix, voc
 }
@@ -402,45 +338,6 @@ func (ix *Index) Vocabulary() int { return ix.dict.len_() }
 
 // Stats describes the built index's shape and cost.
 func (ix *Index) Stats() IndexStats { return ix.stats }
-
-// SlugOf returns the slug of a doc ID (IDs are assigned in slug order).
-func (ix *Index) SlugOf(id uint32) string { return ix.slugs[id] }
-
-// AllDocs returns the bitset of every indexed document. It is shared
-// index state: callers must Clone before mutating (the intended filter
-// idiom is AllDocs().Clone() followed by And with facet bitsets).
-func (ix *Index) AllDocs() Bitset { return ix.all }
-
-// FacetBitset returns the precomputed doc bitset for one taxonomy term,
-// or (nil, false) when the taxonomy or term is unused. The returned set
-// is shared index state — read-only.
-func (ix *Index) FacetBitset(taxonomy, term string) (Bitset, bool) {
-	f, ok := ix.facets[taxonomy]
-	if !ok {
-		return nil, false
-	}
-	bs := f.lookup(term)
-	return bs, bs != nil
-}
-
-// FacetTerms returns the sorted in-use terms of a taxonomy. The slice is
-// shared index state — read-only.
-func (ix *Index) FacetTerms(taxonomy string) []string {
-	return ix.facets[taxonomy].terms
-}
-
-// FacetCount returns how many documents list the term (a popcount).
-func (ix *Index) FacetCount(taxonomy, term string) int {
-	f, ok := ix.facets[taxonomy]
-	if !ok {
-		return 0
-	}
-	bs := f.lookup(term)
-	if bs == nil {
-		return 0
-	}
-	return bs.Count()
-}
 
 // Hit is one ranked search result.
 type Hit struct {

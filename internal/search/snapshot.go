@@ -10,36 +10,17 @@ import (
 // Index snapshot codec: the serialized form of a built Index, so a
 // replica can adopt a leader's inverted file without re-tokenizing the
 // corpus or re-inverting postings. The layout mirrors the in-memory
-// slabs one-to-one — sorted dictionary, offsets/ids/tfs arrays, facet
-// bitsets — which makes encoding a handful of bulk copies and decoding
-// a handful of bounds-checked reads. The format is deterministic
-// (facets are written in sorted taxonomy order, matching their
-// in-memory sorted term slices), so encode→decode→encode is
-// byte-identical; internal/replica wraps it in a CRC-framed section.
+// slabs one-to-one — slugs, norms, sorted dictionary, offsets/ids/tfs
+// arrays — which makes encoding a handful of bulk copies and decoding a
+// handful of bounds-checked reads. The format is deterministic, so
+// encode→decode→encode is byte-identical; internal/replica wraps it in
+// a CRC-framed section.
 
 // snapshotVersion is bumped whenever the slab layout below changes.
 // EngineVersion covers tokenizer/scoring semantics; this covers bytes.
-const snapshotVersion = 1
-
-// facetOrder is the canonical serialization order of the facets map.
-func (ix *Index) facetOrder() []string {
-	names := make([]string, 0, len(ix.facets))
-	for name := range ix.facets {
-		names = append(names, name)
-	}
-	sortStrings(names)
-	return names
-}
-
-// sortStrings is sort.Strings without dragging sort into the hot path
-// readers above (the codec is cold-path only).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
+// Version 1 also carried per-taxonomy-term bitsets, which the
+// repository's term index now derives from the corpus.
+const snapshotVersion = 2
 
 // EncodeSnapshot serializes the index's slabs. The result depends only
 // on the index contents (stats included), never on map iteration order.
@@ -71,24 +52,13 @@ func (ix *Index) EncodeSnapshot() ([]byte, error) {
 	for _, tf := range ix.post.tfs {
 		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(tf))
 	}
-	b = appendBitset(b, ix.all)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ix.facets)))
-	for _, name := range ix.facetOrder() {
-		f := ix.facets[name]
-		b = appendString(b, name)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.terms)))
-		for i, term := range f.terms {
-			b = appendString(b, term)
-			b = appendBitset(b, f.sets[i])
-		}
-	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(statsJSON)))
 	b = append(b, statsJSON...)
 	return b, nil
 }
 
 // DecodeSnapshot reconstructs an Index from EncodeSnapshot bytes without
-// running Build: no tokenization, no inversion, no bitset computation.
+// running Build: no tokenization and no inversion.
 // Every length is validated against the remaining input before it is
 // allocated, so truncated or corrupted input returns an error instead
 // of panicking or ballooning memory.
@@ -142,35 +112,6 @@ func DecodeSnapshot(data []byte) (*Index, error) {
 		tfs[i] = math.Float32frombits(r.u32())
 	}
 	ix.post = postings{offsets: offsets, ids: ids, tfs: tfs}
-	ix.all = r.bitset()
-	nfacets := int(r.u32())
-	if err := r.checkCount(nfacets, 8); err != nil {
-		return nil, err
-	}
-	ix.facets = make(map[string]facet, nfacets)
-	var prevName string
-	for i := 0; i < nfacets; i++ {
-		name := r.str()
-		if r.err == nil && i > 0 && name <= prevName {
-			return nil, fmt.Errorf("search: snapshot facets out of order (%q after %q)", name, prevName)
-		}
-		prevName = name
-		nterms := int(r.u32())
-		if err := r.checkCount(nterms, 8); err != nil {
-			return nil, err
-		}
-		f := facet{terms: make([]string, nterms), sets: make([]Bitset, nterms)}
-		var prevTerm string
-		for j := 0; j < nterms; j++ {
-			f.terms[j] = r.str()
-			if r.err == nil && j > 0 && f.terms[j] <= prevTerm {
-				return nil, fmt.Errorf("search: snapshot facet %q terms out of order", name)
-			}
-			prevTerm = f.terms[j]
-			f.sets[j] = r.bitset()
-		}
-		ix.facets[name] = f
-	}
 	statsJSON := r.bytes(int(r.u32()))
 	if r.err != nil {
 		return nil, r.err
@@ -204,31 +145,12 @@ func DecodeSnapshot(data []byte) (*Index, error) {
 			return nil, fmt.Errorf("search: snapshot posting doc id %d out of range", id)
 		}
 	}
-	wantWords := (docCount + 63) / 64
-	if len(ix.all) != wantWords {
-		return nil, fmt.Errorf("search: snapshot all-docs bitset sized %d words, want %d", len(ix.all), wantWords)
-	}
-	for _, f := range ix.facets {
-		for _, bs := range f.sets {
-			if len(bs) != wantWords {
-				return nil, fmt.Errorf("search: snapshot facet bitset sized %d words, want %d", len(bs), wantWords)
-			}
-		}
-	}
 	return ix, nil
 }
 
 func appendString(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
-}
-
-func appendBitset(b []byte, bs Bitset) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(bs)))
-	for _, w := range bs {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
-	return b
 }
 
 // snapReader is a bounds-checked little-endian reader: the first short
@@ -299,16 +221,4 @@ func (r *snapReader) u64() uint64 {
 
 func (r *snapReader) str() string {
 	return string(r.bytes(int(r.u32())))
-}
-
-func (r *snapReader) bitset() Bitset {
-	n := int(r.u32())
-	if r.checkCount(n, 8) != nil {
-		return nil
-	}
-	bs := make(Bitset, n)
-	for i := range bs {
-		bs[i] = r.u64()
-	}
-	return bs
 }

@@ -1,14 +1,12 @@
-package search
+package taxonomy
 
 import "math/bits"
 
-// Bitset is a dense doc-ID set: one bit per document, 64 documents per
-// word. It is the filter currency of the index — every taxonomy term
-// precomputes one at build time, so a faceted listing is a handful of
-// AND instructions and a facet count is a popcount, regardless of how
-// many documents carry the term. The idiom comes from
-// internal/coverage's crosstab machinery, promoted here to a first-class
-// index structure.
+// Bitset is a dense doc-ID set: one bit per entry, 64 entries per word.
+// It is the index's representation of a term's entries: Build sets one
+// per in-use term, so a faceted listing is a handful of AND
+// instructions and a term count is a popcount, however many entries
+// carry the term.
 type Bitset []uint64
 
 // NewBitset returns an empty set sized for n documents.
@@ -23,15 +21,22 @@ func (b Bitset) Set(id uint32) { b[id>>6] |= 1 << (id & 63) }
 func (b Bitset) Has(id uint32) bool { return b[id>>6]&(1<<(id&63)) != 0 }
 
 // And intersects other into b in place. The sets must be sized for the
-// same document space (the index builds every one from the same corpus).
+// same doc-ID space (an index builds every one from the same entries).
 func (b Bitset) And(other Bitset) {
 	for i := range b {
 		b[i] &= other[i]
 	}
 }
 
+// Or unions other into b in place; the sizing rule is And's.
+func (b Bitset) Or(other Bitset) {
+	for i := range b {
+		b[i] |= other[i]
+	}
+}
+
 // Clone returns an independent copy; the per-query working set the
-// read path ANDs facet bitsets into without mutating the index.
+// read path ANDs term bitsets into without mutating the index.
 func (b Bitset) Clone() Bitset {
 	out := make(Bitset, len(b))
 	copy(out, b)
@@ -47,9 +52,19 @@ func (b Bitset) Count() int {
 	return n
 }
 
+// AndCount returns the size of the intersection of b and other without
+// materializing it.
+func (b Bitset) AndCount(other Bitset) int {
+	n := 0
+	for i, w := range b {
+		n += bits.OnesCount64(w & other[i])
+	}
+	return n
+}
+
 // ForEach calls fn for every present doc id in ascending order. Doc IDs
-// are assigned in slug order, so iteration yields documents in the
-// repository's canonical ordering with no sort.
+// are assigned in key order, so iteration yields entries sorted by key
+// with no sort.
 func (b Bitset) ForEach(fn func(id uint32)) {
 	for i, w := range b {
 		base := uint32(i) << 6
@@ -59,9 +74,6 @@ func (b Bitset) ForEach(fn func(id uint32)) {
 		}
 	}
 }
-
-// Bytes returns the memory footprint of the set's words.
-func (b Bitset) Bytes() int { return len(b) * 8 }
 
 // fillBitset returns a set with the first n bits set (every document).
 func fillBitset(n int) Bitset {

@@ -1,4 +1,4 @@
-package search
+package taxonomy
 
 import (
 	"reflect"
@@ -47,6 +47,14 @@ func TestBitsetAndClone(t *testing.T) {
 	if a.Count() != 4 {
 		t.Errorf("And mutated the source clone's origin: %d", a.Count())
 	}
+	if n := a.AndCount(b); n != 2 {
+		t.Errorf("AndCount = %d, want 2", n)
+	}
+	u := a.Clone()
+	u.Or(b)
+	if u.Count() != 5 || !u.Has(80) || !u.Has(50) {
+		t.Errorf("union wrong: count=%d", u.Count())
+	}
 }
 
 func TestFillBitset(t *testing.T) {
@@ -64,11 +72,5 @@ func TestFillBitset(t *testing.T) {
 		if max != n-1 {
 			t.Errorf("fillBitset(%d) highest bit %d", n, max)
 		}
-	}
-}
-
-func TestBitsetBytes(t *testing.T) {
-	if got := NewBitset(130).Bytes(); got != 24 {
-		t.Errorf("Bytes = %d, want 24", got)
 	}
 }

@@ -3,10 +3,14 @@
 // entries, with an inverted index that groups entries by term and renders
 // term pages.
 //
-// PDCunplugged uses six taxonomies — cs2013, tcpp, courses, senses and the
+// PDCunplugged uses seven taxonomies — cs2013, tcpp, courses, senses and the
 // hidden cs2013details, tcppdetails and medium — declared in Section II-B of
 // the paper. The engine itself is generic: any entry type that can report
-// its terms may be indexed.
+// its terms may be indexed, under any taxonomy definitions (the repository
+// adds a hidden source dimension).
+//
+// The index is the one answer to "which entries carry term t": a doc-ID
+// bitset per in-use term (bitset.go), doc IDs assigned in key order.
 package taxonomy
 
 import (
@@ -63,133 +67,176 @@ func Standard() []Def {
 }
 
 // Index is the inverted term index for a set of entries across a set of
-// taxonomy definitions. The zero value is not usable; call Build.
+// taxonomy definitions. Entries get doc IDs in key order, and every
+// in-use term holds the Bitset of the doc IDs listing it, so a term's
+// entries come out sorted by key, a count is a popcount and set algebra
+// is word-wise AND and OR. The zero value is not usable; call Build.
 type Index struct {
-	defs    []Def
-	byName  map[string]Def
-	entries map[string]Entry
-	// terms[taxonomy][term] = sorted entry keys.
-	terms map[string]map[string][]string
+	keys    []string // doc ID -> key, ascending
+	entries []Entry  // doc ID -> entry
+	all     Bitset   // every doc ID
+	tax     map[string]*termSets
 }
 
-// Build indexes entries under the given taxonomy definitions. Entries with
-// duplicate keys are rejected, as are unknown taxonomy defs referenced twice.
+// termSets is one taxonomy's in-use terms, sorted, each with its bitset.
+type termSets struct {
+	terms []string
+	sets  []Bitset
+}
+
+// lookup returns the bitset of an exact term, or nil.
+func (ts *termSets) lookup(term string) Bitset {
+	i := sort.SearchStrings(ts.terms, term)
+	if i < len(ts.terms) && ts.terms[i] == term {
+		return ts.sets[i]
+	}
+	return nil
+}
+
+// Build indexes entries under the given taxonomy definitions. Empty or
+// duplicate taxonomy names, empty or duplicate entry keys and empty
+// terms are rejected.
 func Build(defs []Def, entries []Entry) (*Index, error) {
 	ix := &Index{
-		defs:    append([]Def(nil), defs...),
-		byName:  make(map[string]Def, len(defs)),
-		entries: make(map[string]Entry, len(entries)),
-		terms:   make(map[string]map[string][]string, len(defs)),
+		entries: append([]Entry(nil), entries...),
+		tax:     make(map[string]*termSets, len(defs)),
 	}
 	for _, d := range defs {
 		if d.Name == "" {
 			return nil, fmt.Errorf("taxonomy: empty taxonomy name")
 		}
-		if _, dup := ix.byName[d.Name]; dup {
+		if _, dup := ix.tax[d.Name]; dup {
 			return nil, fmt.Errorf("taxonomy: duplicate taxonomy %q", d.Name)
 		}
-		ix.byName[d.Name] = d
-		ix.terms[d.Name] = make(map[string][]string)
+		ix.tax[d.Name] = &termSets{}
 	}
-	for _, e := range entries {
-		if err := ix.Add(e); err != nil {
-			return nil, err
+	sort.Slice(ix.entries, func(i, j int) bool { return ix.entries[i].Key() < ix.entries[j].Key() })
+	ix.keys = make([]string, len(ix.entries))
+	for id, e := range ix.entries {
+		key := e.Key()
+		if key == "" {
+			return nil, fmt.Errorf("taxonomy: entry with empty key")
+		}
+		if id > 0 && key == ix.keys[id-1] {
+			return nil, fmt.Errorf("taxonomy: duplicate entry key %q", key)
+		}
+		ix.keys[id] = key
+	}
+	ix.all = fillBitset(len(ix.keys))
+	// Term bitsets are carved from shared slabs of 64 sets each: a
+	// corpus has a few hundred terms, and one allocation per term would
+	// be most of the index's allocations.
+	words := len(ix.all)
+	var slab []uint64
+	for _, d := range defs {
+		byTerm := map[string]Bitset{}
+		for id, e := range ix.entries {
+			for _, term := range e.Terms(d.Name) {
+				if term == "" {
+					return nil, fmt.Errorf("taxonomy: entry %q has empty %s term", ix.keys[id], d.Name)
+				}
+				bs := byTerm[term]
+				if bs == nil {
+					if len(slab) < words {
+						slab = make([]uint64, 64*words)
+					}
+					bs, slab = Bitset(slab[:words:words]), slab[words:]
+					byTerm[term] = bs
+				}
+				bs.Set(uint32(id))
+			}
+		}
+		ts := ix.tax[d.Name]
+		ts.terms = make([]string, 0, len(byTerm))
+		for term := range byTerm {
+			ts.terms = append(ts.terms, term)
+		}
+		sort.Strings(ts.terms)
+		ts.sets = make([]Bitset, len(ts.terms))
+		for i, term := range ts.terms {
+			ts.sets[i] = byTerm[term]
 		}
 	}
 	return ix, nil
 }
 
-// Add indexes one entry.
-func (ix *Index) Add(e Entry) error {
-	key := e.Key()
-	if key == "" {
-		return fmt.Errorf("taxonomy: entry with empty key")
+// Terms returns the sorted terms in use for a taxonomy (nil for an
+// unknown taxonomy).
+func (ix *Index) Terms(taxonomy string) []string {
+	ts, ok := ix.tax[taxonomy]
+	if !ok {
+		return nil
 	}
-	if _, dup := ix.entries[key]; dup {
-		return fmt.Errorf("taxonomy: duplicate entry key %q", key)
-	}
-	ix.entries[key] = e
-	for _, d := range ix.defs {
-		for _, term := range e.Terms(d.Name) {
-			if term == "" {
-				return fmt.Errorf("taxonomy: entry %q has empty %s term", key, d.Name)
-			}
-			ix.terms[d.Name][term] = insertSorted(ix.terms[d.Name][term], key)
-		}
+	return append(make([]string, 0, len(ts.terms)), ts.terms...)
+}
+
+// SharedTerms is Terms without the copy: the slice is shared index
+// state, read-only, for request paths that must not allocate.
+func (ix *Index) SharedTerms(taxonomy string) []string {
+	if ts, ok := ix.tax[taxonomy]; ok {
+		return ts.terms
 	}
 	return nil
 }
 
-func insertSorted(keys []string, k string) []string {
-	i := sort.SearchStrings(keys, k)
-	if i < len(keys) && keys[i] == k {
-		return keys
-	}
-	keys = append(keys, "")
-	copy(keys[i+1:], keys[i:])
-	keys[i] = k
-	return keys
-}
-
-// Defs returns the taxonomy definitions in declaration order.
-func (ix *Index) Defs() []Def { return append([]Def(nil), ix.defs...) }
-
-// Def returns the definition for a taxonomy name.
-func (ix *Index) Def(name string) (Def, bool) {
-	d, ok := ix.byName[name]
-	return d, ok
-}
-
-// Terms returns the sorted terms in use for a taxonomy.
-func (ix *Index) Terms(taxonomy string) []string {
-	m, ok := ix.terms[taxonomy]
+// Docs returns the doc-ID bitset of the entries listing a term, or
+// (nil, false) when the taxonomy or the term is not in use. The set is
+// shared index state, read-only: Clone it before mutating.
+func (ix *Index) Docs(taxonomy, term string) (Bitset, bool) {
+	ts, ok := ix.tax[taxonomy]
 	if !ok {
+		return nil, false
+	}
+	bs := ts.lookup(term)
+	return bs, bs != nil
+}
+
+// AllDocs returns the bitset of every doc ID. It is shared index state,
+// read-only: the filter idiom is AllDocs().Clone() followed by And.
+func (ix *Index) AllDocs() Bitset { return ix.all }
+
+// KeyOf returns the key of a doc ID. Doc IDs are positions in key
+// order, so KeyOf(i) is the i-th element of Keys.
+func (ix *Index) KeyOf(id uint32) string { return ix.keys[id] }
+
+// keysOf returns the keys of a set's doc IDs in key order, nil when the
+// set is empty.
+func (ix *Index) keysOf(bs Bitset) []string {
+	n := bs.Count()
+	if n == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	sort.Strings(out)
+	out := make([]string, 0, n)
+	bs.ForEach(func(id uint32) { out = append(out, ix.keys[id]) })
 	return out
 }
 
 // EntriesFor returns the sorted entry keys listing the given term.
 func (ix *Index) EntriesFor(taxonomy, term string) []string {
-	m, ok := ix.terms[taxonomy]
-	if !ok {
-		return nil
-	}
-	return append([]string(nil), m[term]...)
+	bs, _ := ix.Docs(taxonomy, term)
+	return ix.keysOf(bs)
 }
 
 // Count returns the number of entries listing the term.
 func (ix *Index) Count(taxonomy, term string) int {
-	m, ok := ix.terms[taxonomy]
-	if !ok {
-		return 0
-	}
-	return len(m[term])
+	bs, _ := ix.Docs(taxonomy, term)
+	return bs.Count()
 }
 
 // Entry returns an indexed entry by key.
 func (ix *Index) Entry(key string) (Entry, bool) {
-	e, ok := ix.entries[key]
-	return e, ok
+	i := sort.SearchStrings(ix.keys, key)
+	if i < len(ix.keys) && ix.keys[i] == key {
+		return ix.entries[i], true
+	}
+	return nil, false
 }
 
 // Keys returns all entry keys, sorted.
-func (ix *Index) Keys() []string {
-	out := make([]string, 0, len(ix.entries))
-	for k := range ix.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (ix *Index) Keys() []string { return append([]string(nil), ix.keys...) }
 
 // Len returns the number of indexed entries.
-func (ix *Index) Len() int { return len(ix.entries) }
+func (ix *Index) Len() int { return len(ix.keys) }
 
 // WithAll returns the sorted keys of entries that list every given term of
 // the taxonomy (intersection); an empty term list selects all entries.
@@ -197,59 +244,27 @@ func (ix *Index) WithAll(taxonomy string, terms ...string) []string {
 	if len(terms) == 0 {
 		return ix.Keys()
 	}
-	cur := ix.EntriesFor(taxonomy, terms[0])
-	for _, t := range terms[1:] {
-		cur = intersectSorted(cur, ix.EntriesFor(taxonomy, t))
+	acc := ix.all.Clone()
+	for _, t := range terms {
+		bs, ok := ix.Docs(taxonomy, t)
+		if !ok {
+			return nil
+		}
+		acc.And(bs)
 	}
-	return cur
+	return ix.keysOf(acc)
 }
 
 // WithAny returns the sorted keys of entries listing at least one of the
 // terms (union).
 func (ix *Index) WithAny(taxonomy string, terms ...string) []string {
-	var out []string
+	acc := NewBitset(len(ix.keys))
 	for _, t := range terms {
-		out = unionSorted(out, ix.EntriesFor(taxonomy, t))
-	}
-	return out
-}
-
-func intersectSorted(a, b []string) []string {
-	var out []string
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+		if bs, ok := ix.Docs(taxonomy, t); ok {
+			acc.Or(bs)
 		}
 	}
-	return out
-}
-
-func unionSorted(a, b []string) []string {
-	var out []string
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return ix.keysOf(acc)
 }
 
 // TermPage describes one term's page: the term and its entry keys.
@@ -261,9 +276,13 @@ type TermPage struct {
 
 // Pages returns one TermPage per in-use term of the taxonomy, sorted by term.
 func (ix *Index) Pages(taxonomy string) []TermPage {
+	ts, ok := ix.tax[taxonomy]
+	if !ok {
+		return nil
+	}
 	var pages []TermPage
-	for _, t := range ix.Terms(taxonomy) {
-		pages = append(pages, TermPage{Taxonomy: taxonomy, Term: t, Entries: ix.EntriesFor(taxonomy, t)})
+	for i, t := range ts.terms {
+		pages = append(pages, TermPage{Taxonomy: taxonomy, Term: t, Entries: ix.keysOf(ts.sets[i])})
 	}
 	return pages
 }
@@ -274,7 +293,8 @@ func (ix *Index) Pages(taxonomy string) []TermPage {
 func (ix *Index) RankedEntries(taxonomy, term string) []string {
 	keys := ix.EntriesFor(taxonomy, term)
 	weight := func(key string) int {
-		if w, ok := ix.entries[key].(Weighted); ok {
+		e, _ := ix.Entry(key)
+		if w, ok := e.(Weighted); ok {
 			return w.TermWeight(taxonomy, term)
 		}
 		return 0

@@ -1,6 +1,7 @@
 package taxonomy
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -54,6 +55,44 @@ func TestBuildAndLookup(t *testing.T) {
 	}
 	if got := ix.EntriesFor("nope", "x"); got != nil {
 		t.Errorf("unknown taxonomy = %v", got)
+	}
+}
+
+// TestRequestPathReadsAllocateNothing: the shared accessors the query
+// API serves from return index state without copying it.
+func TestRequestPathReadsAllocateNothing(t *testing.T) {
+	ix, err := Build(defs(), []Entry{
+		entry("b", map[string][]string{"courses": {"CS1", "CS2"}}),
+		entry("a", map[string][]string{"courses": {"CS1"}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, ok := ix.Docs("courses", "CS1")
+	if !ok || bs.Count() != 2 {
+		t.Fatalf("Docs(courses, CS1) = %v, %v", bs, ok)
+	}
+	if _, ok := ix.Docs("courses", "DSA"); ok {
+		t.Error("Docs found an unused term")
+	}
+	if _, ok := ix.Docs("nope", "CS1"); ok {
+		t.Error("Docs found an unknown taxonomy")
+	}
+	if got := ix.SharedTerms("courses"); !reflect.DeepEqual(got, []string{"CS1", "CS2"}) {
+		t.Errorf("SharedTerms = %v", got)
+	}
+	if ix.KeyOf(0) != "a" || ix.KeyOf(1) != "b" {
+		t.Errorf("KeyOf = %q, %q; want key order", ix.KeyOf(0), ix.KeyOf(1))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		ix.Docs("courses", "CS2")
+		ix.AllDocs()
+		ix.SharedTerms("courses")
+		ix.KeyOf(1)
+		ix.Count("courses", "CS1")
+	})
+	if allocs != 0 {
+		t.Errorf("request-path reads allocate %v times", allocs)
 	}
 }
 
@@ -258,12 +297,19 @@ func TestRankedEntries(t *testing.T) {
 	}
 }
 
+// Property: WithAll and WithAny over two terms are the intersection and
+// union of the terms' entry lists.
 func TestSetOpsProperties(t *testing.T) {
 	f := func(a, b []uint8) bool {
-		mk := func(xs []uint8) []string {
+		terms := map[string][]string{} // key -> courses terms
+		mk := func(xs []uint8, term string) []string {
 			set := map[string]bool{}
 			for _, x := range xs {
-				set[string(rune('a'+int(x%20)))] = true
+				key := string(rune('a' + int(x%20)))
+				if !set[key] {
+					set[key] = true
+					terms[key] = append(terms[key], term)
+				}
 			}
 			var out []string
 			for k := range set {
@@ -272,9 +318,20 @@ func TestSetOpsProperties(t *testing.T) {
 			sort.Strings(out)
 			return out
 		}
-		sa, sb := mk(a), mk(b)
-		inter := intersectSorted(sa, sb)
-		uni := unionSorted(sa, sb)
+		sa, sb := mk(a, "A"), mk(b, "B")
+		var entries []Entry
+		for key, ts := range terms {
+			entries = append(entries, entry(key, map[string][]string{"courses": ts}))
+		}
+		ix, err := Build(defs(), entries)
+		if err != nil {
+			return false
+		}
+		if !reflect.DeepEqual(ix.EntriesFor("courses", "A"), sa) || !reflect.DeepEqual(ix.EntriesFor("courses", "B"), sb) {
+			return false
+		}
+		inter := ix.WithAll("courses", "A", "B")
+		uni := ix.WithAny("courses", "A", "B")
 		// |A∪B| + |A∩B| = |A| + |B|
 		if len(uni)+len(inter) != len(sa)+len(sb) {
 			return false
@@ -293,5 +350,27 @@ func TestSetOpsProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllDocsCoversCorpus: AllDocs holds every doc ID, and its doc IDs
+// map back to the keys in key order.
+func TestAllDocsCoversCorpus(t *testing.T) {
+	var entries []Entry
+	for i := 129; i >= 0; i-- { // more than two words, built in reverse
+		entries = append(entries, entry(fmt.Sprintf("k%03d", i), nil))
+	}
+	ix, err := Build(defs(), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := ix.AllDocs()
+	if all.Count() != ix.Len() {
+		t.Errorf("AllDocs covers %d of %d docs", all.Count(), ix.Len())
+	}
+	var keys []string
+	all.ForEach(func(id uint32) { keys = append(keys, ix.KeyOf(id)) })
+	if !reflect.DeepEqual(keys, ix.Keys()) || !sort.StringsAreSorted(keys) {
+		t.Error("AllDocs iteration is not in key order")
 	}
 }
